@@ -18,8 +18,8 @@ Workloads (``BENCHMARK.json`` says why each was chosen):
     ``OnlineWhirlTool``.
 
 Every phase runs in its own process (``pb_child.py``) with its own
-``$REPRO_STORE_DIR`` under ``.perfbench_work/`` and every other
-``REPRO_*`` variable unset.  The command checks the outputs, prints a
+``$REPRO_STORE_DIR`` under ``.perfbench_work/``, every other ``REPRO_*``
+variable unset and NumPy's hugepage advice off.  The command checks the outputs, prints a
 report, and ends with one JSON line: end-to-end metrics with
 ``--trace 0`` (times on the reference scale of ``pb_speed.py``); with
 ``--trace 1``, per-layer metrics from a traced run of the timed phase,
@@ -67,6 +67,11 @@ class Phases:
     def env(self, store: Path) -> dict[str, str]:
         env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
         env["REPRO_STORE_DIR"] = str(store)
+        # With NumPy's transparent-hugepage advice, identical runs peaked
+        # at 604, 638 or 710 MB RSS depending on directory and host state,
+        # and a 7.86 GiB dense relabel table (leslie's) was sometimes
+        # allocated and sometimes refused.  Without it both repeat.
+        env["NUMPY_MADVISE_HUGEPAGE"] = "0"
         return env
 
     def run(self, phase: str, store: Path, **extra) -> tuple[dict, float]:
@@ -140,7 +145,17 @@ def run_apps_cold(phases: Phases, trace: bool, problems: list[str]) -> dict:
     stores = (phases.work / "store-timed", phases.work / "store-traced")
     timed, traced = _timed(phases, "grid", stores, trace)
     if traced is not None:
-        _check(traced["digest"] == timed["digest"], "traced results differ from untraced", problems)
+        differ = sorted(
+            k for k in set(timed["records"]) | set(traced["records"])
+            if timed["records"].get(k) != traced["records"].get(k)
+        )
+        _check(
+            traced["digest"] == timed["digest"],
+            f"traced results differ from untraced: {len(differ)} records, "
+            f"failures {sorted(timed['failures'])} vs {sorted(traced['failures'])}, "
+            f"first {[(k, timed['records'].get(k), traced['records'].get(k)) for k in differ[:2]]}",
+            problems,
+        )
         _check(not traced["foreign_loads"], "traced cold phase loaded foreign profiles", problems)
     verify, __ = phases.run("verify", phases.work / "store-verify")
     _check(not timed["foreign_loads"], f"cold phase loaded profiles it did not compute: {timed['foreign_loads'][:3]}", problems)
