@@ -14,19 +14,22 @@ repeatedly merge the closest pair (re-estimating the merged pool's
 curves with the combine model), record the merge tree, and cut it at the
 desired pool count.
 
-Two interchangeable engines build the merge tree:
+One builder plus its oracle:
 
-- :meth:`WhirlToolAnalyzer.cluster` — the batched engine.  Distances
-  live in a condensed numpy matrix keyed by cluster index; the initial
-  table is one batched evaluation over all pairs × active intervals
-  (through :func:`repro.curves.combine.combine_rate_rows` and
+- :meth:`WhirlToolAnalyzer.cluster_incremental` — the batched builder.
+  Distances live in a condensed numpy matrix keyed by cluster index.
+  The initial table is one batched evaluation over every (leaf pair,
+  interval) lane its :class:`IncrementalClusterCache` lacks (through
+  :func:`repro.curves.combine.combine_rate_rows` and
   :func:`repro.curves.partition.partitioned_rate_rows`, with each
   cluster's rate rows and hulls computed once and reused across every
   pair), and each merge computes the merged cluster's row against all
-  survivors in a single batch.
+  survivors in a single batch.  :meth:`WhirlToolAnalyzer.cluster` is
+  this builder with an empty cache; the online tool keeps one cache
+  across re-clusters so only new intervals are evaluated.
 - :meth:`WhirlToolAnalyzer.cluster_reference` — the original serial
-  loop over :func:`pool_distance`, retained as the oracle.  The batched
-  engine is bit-identical to it — merge order, distances, and tie-breaks
+  loop over :func:`pool_distance`, retained as the oracle.  The builder
+  is bit-identical to it — merge order, distances, and tie-breaks
   (distance, then sorted min-callpoint) — which the property tests pin
   and which keeps the Fig 17 dendrograms byte-stable.
 """
@@ -70,28 +73,36 @@ def pool_distance(a: list[MissCurve], b: list[MissCurve]) -> float:
 
 
 def _lane_area_terms(
-    ra: np.ndarray,
-    rb: np.ndarray,
-    ha: np.ndarray,
-    hb: np.ndarray,
-    instr_c: np.ndarray,
+    rates: np.ndarray,
+    hulls: np.ndarray,
+    instr: np.ndarray,
+    pa: np.ndarray,
+    pb: np.ndarray,
+    lane_t: np.ndarray,
 ) -> np.ndarray:
     """Per-lane combined-vs-partitioned area terms (one interval each).
 
+    Lane ``i`` pairs clusters ``pa[i]`` and ``pb[i]`` at interval
+    ``lane_t[i]``, gathered from the per-cluster ``(cluster, interval,
+    ...)`` state arrays.
+
     The float core every distance evaluation shares: combine model and
     optimal split scaled to misses, the MissCurve monotone/clip
-    normalization, and the per-instruction area.  Both
-    :meth:`WhirlToolAnalyzer.cluster`'s full-pair batches and
-    :meth:`WhirlToolAnalyzer.cluster_incremental`'s single-interval
-    columns run lanes through these exact expressions, and the kernels
+    normalization, and the per-instruction area.  The kernels
     underneath are lane-independent, so a term's value does not depend
     on which batch evaluated it — the property that makes cached terms
     reusable bit-identically.
     """
+    ra = rates[pa, lane_t]
+    rb = rates[pb, lane_t]
+    instr_c = np.maximum(instr[pa, lane_t], instr[pb, lane_t])
     combined = combine_rate_rows(ra, rb) * instr_c[:, None]
     np.minimum.accumulate(combined, axis=1, out=combined)
     np.clip(combined, 0.0, None, out=combined)
-    split = partitioned_rate_rows(ha, hb) * instr_c[:, None]
+    split = (
+        partitioned_rate_rows(hulls[pa, lane_t], hulls[pb, lane_t])
+        * instr_c[:, None]
+    )
     np.minimum.accumulate(split, axis=1, out=split)
     np.clip(split, 0.0, None, out=split)
     area = np.sum(combined - split, axis=1)
@@ -204,20 +215,41 @@ class WhirlToolAnalyzer:
     def cluster(self, profile: CallpointProfile) -> ClusteringResult:
         """Build the full merge tree for one application's profile.
 
-        Batched engine: one vectorized evaluation fills the initial
-        pair-distance matrix, and each merge re-evaluates a single
-        batched row.  Bit-identical to :meth:`cluster_reference` (which
-        also serves as the fallback for ragged or degenerate profiles).
+        :meth:`cluster_incremental` with an empty cache: one batched
+        evaluation fills the initial pair-distance table.
+        """
+        return self.cluster_incremental(profile, IncrementalClusterCache())
+
+    def cluster_incremental(
+        self, profile: CallpointProfile, cache: IncrementalClusterCache
+    ) -> ClusteringResult:
+        """Build the merge tree, reusing ``cache``'s leaf-pair terms.
+
+        The initial pair-distance table — the O(pairs × intervals) bulk
+        of the work — only evaluates the (leaf pair, interval) lanes the
+        cache lacks, all in one :func:`_lane_area_terms` batch; the rest
+        replay from ``cache``, which is then extended.  With an empty
+        cache every lane is evaluated (:meth:`cluster`); when a profile
+        gains intervals (online sealed epochs) only the new columns are.
+        The merge phase always runs fresh (merged pools' curves depend
+        on every interval): each merge evaluates the merged cluster's
+        row against all survivors in one batch.
+
+        Bit-identical to :meth:`cluster_reference` — merge order,
+        distances, tie-breaks — because per-lane terms do not depend on
+        batch composition and per-pair totals accumulate in interval
+        order, as the serial loop does.  Degenerate profiles (ragged
+        series, mismatched grids, <= 1 leaf) drop the cache and go to
+        :meth:`cluster_reference`.
         """
         order = sorted(profile.curves)
         n_leaves = len(order)
         series = [profile.curves[cp] for cp in order]
-        if n_leaves <= 1:
-            return self.cluster_reference(profile)
-        n_intervals = len(series[0])
         flat = [c for s in series for c in s]
+        n_intervals = len(series[0]) if series else 0
         if (
-            n_intervals == 0
+            n_leaves <= 1
+            or n_intervals == 0
             or any(len(s) != n_intervals for s in series)
             or any(
                 c.chunk_bytes != flat[0].chunk_bytes
@@ -225,9 +257,17 @@ class WhirlToolAnalyzer:
                 for c in flat
             )
         ):
+            cache.invalidate()
             return self.cluster_reference(profile)
 
         width = flat[0].n_chunks + 1
+        grid = (flat[0].chunk_bytes, flat[0].n_chunks)
+        if cache.grid != grid or any(
+            len(v) > n_intervals for v in cache.terms.values()
+        ):
+            cache.invalidate()
+            cache.grid = grid
+
         total_clusters = 2 * n_leaves - 1
         # Per-cluster state, indexed by cluster id; merged clusters are
         # appended after the n_leaves leaves.  Miss rows are transient:
@@ -251,48 +291,53 @@ class WhirlToolAnalyzer:
             for t in range(n_intervals):
                 hulls[c, t] = _lower_convex_hull_fast(rates[c, t])
 
-        def pair_distances(ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
-            """Batched ``pool_distance`` over cluster-index pairs.
+        def lane_terms(
+            ia: np.ndarray, ib: np.ndarray, need: np.ndarray
+        ) -> np.ndarray:
+            """``(pair, interval)`` distance terms of the needed lanes.
 
-            Inactive (pair, interval) lanes are compacted away up front;
-            active lanes run through the combine and partitioned-split
-            kernels in one batch, and per-pair totals accumulate in
-            interval order so the float sums match the serial loop.
+            Lanes not needed, and inactive ones (either side without
+            accesses), are zero; the rest run through the distance
+            kernels in one batch.
             """
-            total = np.zeros(len(ia))
-            active = (accesses[ia] > 0) & (accesses[ib] > 0)
-            lane_p, lane_t = np.nonzero(active)
-            if len(lane_p) == 0:
-                return total
-            ra = rates[ia[lane_p], lane_t]
-            rb = rates[ib[lane_p], lane_t]
-            instr_c = np.maximum(
-                instr[ia[lane_p], lane_t], instr[ib[lane_p], lane_t]
+            lane_p, lane_t = np.nonzero(
+                need & (accesses[ia] > 0) & (accesses[ib] > 0)
             )
-            combined = combine_rate_rows(ra, rb) * instr_c[:, None]
-            np.minimum.accumulate(combined, axis=1, out=combined)
-            np.clip(combined, 0.0, None, out=combined)
-            split = (
-                partitioned_rate_rows(
-                    hulls[ia[lane_p], lane_t], hulls[ib[lane_p], lane_t]
+            vals = (
+                _lane_area_terms(
+                    rates, hulls, instr, ia[lane_p], ib[lane_p], lane_t
                 )
-                * instr_c[:, None]
+                if len(lane_p)
+                else 0.0
             )
-            np.minimum.accumulate(split, axis=1, out=split)
-            np.clip(split, 0.0, None, out=split)
-            area = np.sum(combined - split, axis=1)
             terms = np.zeros((len(ia), n_intervals))
-            terms[lane_p, lane_t] = np.maximum(area, 0.0) / np.maximum(
-                instr_c, 1e-12
-            )
+            terms[lane_p, lane_t] = vals
+            return terms
+
+        def interval_sums(terms: np.ndarray) -> np.ndarray:
+            """Per-pair totals, summed in interval order like the oracle."""
+            total = np.zeros(len(terms))
             for t in range(n_intervals):
                 total = total + terms[:, t]
             return total
 
         # Condensed distance matrix over cluster indices (inf = no pair).
         dist = np.full((total_clusters, total_clusters), np.inf)
+        # Leaf-pair terms: each pair's cached prefix, plus one batch for
+        # every lane past the end of it.
         ii, jj = np.triu_indices(n_leaves, k=1)
-        init = pair_distances(ii, jj)
+        keys = [(order[i], order[j]) for i, j in zip(ii.tolist(), jj.tolist())]
+        cached = [cache.terms.get(key) for key in keys]
+        lens = np.array([0 if got is None else len(got) for got in cached])
+        term_matrix = lane_terms(
+            ii, jj, np.arange(n_intervals) >= lens[:, None]
+        )
+        for k, got in enumerate(cached):
+            if got is not None:
+                term_matrix[k, : len(got)] = got
+            if lens[k] < n_intervals:
+                cache.terms[keys[k]] = term_matrix[k].copy()
+        init = interval_sums(term_matrix)
         dist[ii, jj] = init
         dist[jj, ii] = init
         alive = np.zeros(total_clusters, dtype=bool)
@@ -344,186 +389,8 @@ class WhirlToolAnalyzer:
             survivors = np.flatnonzero(alive)
             alive[new] = True
             if len(survivors):
-                row = pair_distances(
-                    np.full(len(survivors), new), survivors
-                )
-                dist[new, survivors] = row
-                dist[survivors, new] = row
-        return result
-
-    def cluster_incremental(
-        self, profile: CallpointProfile, cache: IncrementalClusterCache
-    ) -> ClusteringResult:
-        """Re-cluster a growing profile, reusing cached leaf-pair terms.
-
-        The online engine: when a profile gains intervals (sealed
-        epochs) between re-clusters, the initial pair-distance table —
-        the O(pairs × intervals) bulk of :meth:`cluster` — only needs
-        the *new* interval columns; previously evaluated terms replay
-        from ``cache``.  The merge phase always runs fresh (merged
-        pools' curves depend on every interval).
-
-        Bit-identical to :meth:`cluster` on the same profile — merge
-        order, distances, tie-breaks — because per-lane terms are
-        batch-composition-independent (:func:`_lane_area_terms`) and
-        the per-pair total accumulates in the same interval order.
-        Degenerate profiles (ragged series, mismatched grids, <= 1
-        leaf) drop the cache and fall back to :meth:`cluster`, which
-        itself falls back to :meth:`cluster_reference`.
-        """
-        order = sorted(profile.curves)
-        n_leaves = len(order)
-        series = [profile.curves[cp] for cp in order]
-        flat = [c for s in series for c in s]
-        n_intervals = len(series[0]) if series else 0
-        if (
-            n_leaves <= 1
-            or n_intervals == 0
-            or any(len(s) != n_intervals for s in series)
-            or any(
-                c.chunk_bytes != flat[0].chunk_bytes
-                or c.n_chunks != flat[0].n_chunks
-                for c in flat
-            )
-        ):
-            cache.invalidate()
-            return self.cluster(profile)
-
-        width = flat[0].n_chunks + 1
-        grid = (flat[0].chunk_bytes, flat[0].n_chunks)
-        if cache.grid != grid or any(
-            len(v) > n_intervals for v in cache.terms.values()
-        ):
-            cache.invalidate()
-            cache.grid = grid
-
-        # Per-cluster state, exactly as in cluster().
-        total_clusters = 2 * n_leaves - 1
-        instr = np.empty((total_clusters, n_intervals))
-        accesses = np.empty((total_clusters, n_intervals))
-        rates = np.empty((total_clusters, n_intervals, width))
-        hulls = np.empty((total_clusters, n_intervals, width))
-        members: list[frozenset] = [frozenset({cp}) for cp in order]
-        mins = np.empty(total_clusters, dtype=np.int64)
-        births = np.zeros(total_clusters, dtype=np.int64)
-        leaf_misses = np.empty((n_intervals, width))
-        for c, (cp, s) in enumerate(zip(order, series)):
-            mins[c] = cp
-            for t, curve in enumerate(s):
-                leaf_misses[t] = curve.misses
-                instr[c, t] = curve.instructions
-                accesses[c, t] = curve.accesses
-            rates[c] = leaf_misses / np.maximum(instr[c], 1e-12)[:, None]
-            for t in range(n_intervals):
-                hulls[c, t] = _lower_convex_hull_fast(rates[c, t])
-
-        def pair_distances(ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
-            """Same batched pool_distance as cluster()'s closure."""
-            total = np.zeros(len(ia))
-            active = (accesses[ia] > 0) & (accesses[ib] > 0)
-            lane_p, lane_t = np.nonzero(active)
-            if len(lane_p) == 0:
-                return total
-            vals = _lane_area_terms(
-                rates[ia[lane_p], lane_t],
-                rates[ib[lane_p], lane_t],
-                hulls[ia[lane_p], lane_t],
-                hulls[ib[lane_p], lane_t],
-                np.maximum(
-                    instr[ia[lane_p], lane_t], instr[ib[lane_p], lane_t]
-                ),
-            )
-            terms = np.zeros((len(ia), n_intervals))
-            terms[lane_p, lane_t] = vals
-            for t in range(n_intervals):
-                total = total + terms[:, t]
-            return total
-
-        def term_column(ia: np.ndarray, ib: np.ndarray, t: int) -> np.ndarray:
-            """One interval's terms for a batch of leaf pairs."""
-            col = np.zeros(len(ia))
-            act = np.nonzero((accesses[ia, t] > 0) & (accesses[ib, t] > 0))[0]
-            if len(act) == 0:
-                return col
-            col[act] = _lane_area_terms(
-                rates[ia[act], t],
-                rates[ib[act], t],
-                hulls[ia[act], t],
-                hulls[ib[act], t],
-                np.maximum(instr[ia[act], t], instr[ib[act], t]),
-            )
-            return col
-
-        # Leaf-pair term matrix: cached prefixes + freshly computed
-        # columns for intervals each pair has not seen yet.
-        ii, jj = np.triu_indices(n_leaves, k=1)
-        keys = [(order[i], order[j]) for i, j in zip(ii.tolist(), jj.tolist())]
-        lens = np.zeros(len(keys), dtype=np.int64)
-        term_matrix = np.zeros((len(keys), n_intervals))
-        for k, key in enumerate(keys):
-            got = cache.terms.get(key)
-            if got is not None and len(got):
-                lens[k] = len(got)
-                term_matrix[k, : lens[k]] = got
-        for t in range(n_intervals):
-            need = np.nonzero(lens <= t)[0]
-            if len(need):
-                term_matrix[need, t] = term_column(ii[need], jj[need], t)
-        for k, key in enumerate(keys):
-            if lens[k] < n_intervals:
-                cache.terms[key] = term_matrix[k].copy()
-        init = np.zeros(len(keys))
-        for t in range(n_intervals):
-            init = init + term_matrix[:, t]
-
-        # Merge phase: identical to cluster() from here on.
-        dist = np.full((total_clusters, total_clusters), np.inf)
-        dist[ii, jj] = init
-        dist[jj, ii] = init
-        alive = np.zeros(total_clusters, dtype=bool)
-        alive[:n_leaves] = True
-
-        result = ClusteringResult(
-            callpoints=profile.callpoints, names=dict(profile.names)
-        )
-        for step in range(1, n_leaves):
-            live = np.flatnonzero(alive)
-            sub = dist[np.ix_(live, live)]
-            iu, ju = np.triu_indices(len(live), k=1)
-            vals = sub[iu, ju]
-            d_min = vals.min()
-            ties = np.flatnonzero(vals == d_min)
-            lo = np.minimum(mins[live[iu[ties]]], mins[live[ju[ties]]])
-            hi = np.maximum(mins[live[iu[ties]]], mins[live[ju[ties]]])
-            pick = ties[np.lexsort((hi, lo))[0]]
-            ci, cj = live[iu[pick]], live[ju[pick]]
-            if births[ci] == 0 and births[cj] == 0:
-                a_id, b_id = (ci, cj) if mins[ci] < mins[cj] else (cj, ci)
-            else:
-                a_id, b_id = (ci, cj) if births[ci] > births[cj] else (cj, ci)
-            result.merges.append(
-                (members[a_id], members[b_id], float(d_min))
-            )
-
-            new = n_leaves + step - 1
-            members.append(members[ci] | members[cj])
-            mins[new] = min(mins[ci], mins[cj])
-            births[new] = step
-            instr[new] = np.maximum(instr[ci], instr[cj])
-            accesses[new] = accesses[ci] + accesses[cj]
-            merged_misses = combine_rate_rows(rates[ci], rates[cj])
-            merged_misses *= instr[new][:, None]
-            np.minimum.accumulate(merged_misses, axis=1, out=merged_misses)
-            np.clip(merged_misses, 0.0, None, out=merged_misses)
-            rates[new] = merged_misses / np.maximum(instr[new], 1e-12)[:, None]
-            for t in range(n_intervals):
-                hulls[new, t] = _lower_convex_hull_fast(rates[new, t])
-            alive[ci] = alive[cj] = False
-            survivors = np.flatnonzero(alive)
-            alive[new] = True
-            if len(survivors):
-                row = pair_distances(
-                    np.full(len(survivors), new), survivors
+                row = interval_sums(
+                    lane_terms(np.full(len(survivors), new), survivors, np.True_)
                 )
                 dist[new, survivors] = row
                 dist[survivors, new] = row

@@ -20,23 +20,17 @@ from repro.devtools.lint.base import (
 
 __all__ = ["OraclePairingRule"]
 
-#: Reference spelled ``engine:<name>`` means the oracle is an inline
-#: dispatch path selected by the kernel's ``engine=`` switch, not a
-#: ``*_reference`` sibling function.
-_INLINE_PREFIX = "engine:"
-
 
 @register_rule
 class OraclePairingRule(Rule):
     """Public kernels with a batched engine must retain a serial oracle.
 
     Every entry in ``invariants.toml``'s ``[[engine]]`` table names a
-    public kernel and its reference: either a retained ``*_reference``
-    sibling in the same module, or (``engine:<name>``) an inline serial
-    path behind the kernel's ``engine=`` switch.  The rule checks three
-    things: the kernel exists, the reference still exists, and at least
-    one test or benchmark file references both names — i.e. the
-    bit-identity pin has not been quietly deleted.  Conversely, any
+    public kernel and its retained ``*_reference`` oracle in the same
+    module.  The rule checks three things: the kernel exists, the
+    reference still exists, and at least one test or benchmark file
+    references both names — i.e. the bit-identity pin has not been
+    quietly deleted.  Conversely, any
     public ``src/`` function that grows an ``engine=`` parameter must be
     registered in the manifest, so new engines cannot ship oracle-less.
     """
@@ -91,30 +85,16 @@ class OraclePairingRule(Rule):
                 f"not defined in {entry['module']}",
             )
             return
-        if reference.startswith(_INLINE_PREFIX):
-            engine_name = reference[len(_INLINE_PREFIX) :]
-            if not self._mentions_literal(knode, engine_name):
-                yield self.finding(
-                    f,
-                    knode.lineno,
-                    f"kernel {kernel!r} declares an inline "
-                    f"engine={engine_name!r} oracle path but its body "
-                    f"never dispatches on the literal {engine_name!r}",
-                )
-                return
-            needles = (kernel.split(".")[-1], f'engine="{engine_name}"')
-        else:
-            rnode = defs.get(reference)
-            if rnode is None:
-                yield self.finding(
-                    f,
-                    knode.lineno,
-                    f"kernel {kernel!r} has no retained reference oracle: "
-                    f"{reference!r} is not defined in {entry['module']} "
-                    "(renamed or deleted?)",
-                )
-                return
-            needles = (kernel.split(".")[-1], reference.split(".")[-1])
+        if reference not in defs:
+            yield self.finding(
+                f,
+                knode.lineno,
+                f"kernel {kernel!r} has no retained reference oracle: "
+                f"{reference!r} is not defined in {entry['module']} "
+                "(renamed or deleted?)",
+            )
+            return
+        needles = (kernel.split(".")[-1], reference.split(".")[-1])
         if not self._test_references(project, needles):
             yield self.finding(
                 f,
@@ -130,13 +110,6 @@ class OraclePairingRule(Rule):
     ) -> bool:
         params = node.args.args + node.args.kwonlyargs
         return any(a.arg == "engine" for a in params)
-
-    @staticmethod
-    def _mentions_literal(node: ast.AST, literal: str) -> bool:
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Constant) and sub.value == literal:
-                return True
-        return False
 
     @staticmethod
     def _test_references(

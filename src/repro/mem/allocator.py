@@ -19,7 +19,7 @@ stack — which is what the WhirlTool profiler clusters (paper Sec 4.1).
 
 from __future__ import annotations
 
-import inspect
+import sys
 import zlib
 from dataclasses import dataclass, field
 
@@ -48,13 +48,22 @@ _ARENA_RUN_PAGES = 16
 def callpoint_id(depth: int = 2, skip: int = 2) -> int:
     """Hash of the last ``depth`` call frames (paper: last two return PCs).
 
+    Frames are counted from this function's own (``skip=0`` hashes it);
+    a stack shorter than ``skip + depth`` hashes the frames it has.
+
     Args:
         depth: number of frames to hash.
         skip: frames to skip (the allocator's own).
     """
-    frames = inspect.stack()[skip : skip + depth]
-    key = "|".join(f"{f.filename}:{f.lineno}" for f in frames)
-    return zlib.crc32(key.encode()) & 0x7FFFFFFF
+    try:
+        frame = sys._getframe(skip)
+    except ValueError:  # the stack is at most ``skip`` frames deep
+        frame = None
+    parts = []
+    while frame is not None and len(parts) < depth:
+        parts.append(f"{frame.f_code.co_filename}:{frame.f_lineno}")
+        frame = frame.f_back
+    return zlib.crc32("|".join(parts).encode()) & 0x7FFFFFFF
 
 
 @dataclass(frozen=True)

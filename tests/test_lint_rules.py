@@ -148,40 +148,6 @@ def test_oracle_pairing_unregistered_engine_kernel_fails(tmp_path):
     assert "not registered" in findings[0].message
 
 
-def test_oracle_pairing_inline_serial_engine(tmp_path):
-    manifest = """
-    [[engine]]
-    kernel = "simulate"
-    module = "src/drv.py"
-    reference = "engine:serial"
-    """
-    files = {
-        "src/drv.py": """\
-            def simulate(trace, engine="batched"):
-                if engine == "serial":
-                    return 1
-                return 2
-            """,
-        "tests/test_drv.py": """\
-            from drv import simulate
-
-            def test_engines_agree():
-                assert simulate([], engine="serial") == simulate([])
-            """,
-    }
-    root, m = make_tree(tmp_path, files, manifest)
-    assert run(root, m, ["oracle-pairing"]) == []
-    # Drop the serial path: the inline oracle is gone.
-    files["src/drv.py"] = """\
-        def simulate(trace, engine="batched"):
-            return 2
-        """
-    root, m = make_tree(tmp_path, files, manifest)
-    findings = run(root, m, ["oracle-pairing"])
-    assert len(findings) == 1
-    assert "never dispatches" in findings[0].message
-
-
 # ----------------------------------------------------------------------
 # atomic-publish
 # ----------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Unit tests for the virtual-memory substrate."""
 
+import inspect
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +16,10 @@ from repro.mem import (
     VCError,
     VCRegistry,
 )
+from repro.mem import allocator
 from repro.mem.address_space import POOL_NONE
+from repro.workloads import build_workload
+from repro.workloads.registry import ALL_APPS
 
 
 class TestAddressSpace:
@@ -227,3 +233,36 @@ class TestVCRegistry:
         vc = reg.sys_vc_alloc(pid=1)
         addr = reg.sys_mmap(pid=1, n_pages=2, vc=vc)
         assert space.pool_of(addr + PAGE_SIZE) == vc
+
+
+def callpoint_id_reference(depth: int = 2, skip: int = 2) -> int:
+    """The original ``inspect.stack()`` callpoint hash (the oracle)."""
+    frames = inspect.stack()[skip : skip + depth]
+    key = "|".join(f"{f.filename}:{f.lineno}" for f in frames)
+    return zlib.crc32(key.encode()) & 0x7FFFFFFF
+
+
+class TestCallpointId:
+    def test_all_apps_match_reference(self, monkeypatch):
+        """Every train-scale app allocates with the oracle's region ids."""
+        original = allocator.callpoint_id
+        pairs = []
+
+        def checked(depth=2, skip=2):
+            # One extra frame (this wrapper) sits above both hashes.
+            got = original(depth, skip + 1)
+            pairs.append((got, callpoint_id_reference(depth, skip + 1)))
+            return got
+
+        monkeypatch.setattr(allocator, "callpoint_id", checked)
+        for app in ALL_APPS:
+            build_workload(app, scale="train", seed=0)
+        assert pairs
+        assert [got for got, __ in pairs] == [want for __, want in pairs]
+
+    def test_stack_shorter_than_skip_plus_depth(self):
+        height = len(inspect.stack())
+        for skip, depth in ((1, 2), (height - 1, 2), (height, 2), (height + 5, 3)):
+            assert allocator.callpoint_id(depth, skip) == callpoint_id_reference(depth, skip)
+        # Nothing left to hash: the empty key.
+        assert allocator.callpoint_id(2, height + 5) == zlib.crc32(b"")

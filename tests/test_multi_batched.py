@@ -1,11 +1,13 @@
-"""Differential tests: batched stepping engine vs. the retained serial path.
+"""Differential tests: batched stepping vs. the serial reference loop.
 
-``simulate`` / ``simulate_mix`` default to the batched engine (decide per
-interval, account the whole run as stacked arrays); ``engine="serial"``
-is the original interval-by-interval loop.  The two must produce *exact*
-``SchemeResult`` / ``MixResult`` equality — dataclass equality covers
-every accumulated total, per-interval ``IntervalStats`` (history), per-VC
-dicts, and energy breakdowns.
+``simulate`` / ``simulate_mix`` step schemes through
+``Scheme.step_batch`` (decide per interval, account the whole run as
+stacked arrays).  The reference is the original interval-by-interval
+loop over the public ``Scheme.step`` (decide, then account), swapped in
+by :func:`serial`.  The two must produce *exact* ``SchemeResult`` /
+``MixResult`` equality — dataclass equality covers every accumulated
+total, per-interval ``IntervalStats`` (history), per-VC dicts, and
+energy breakdowns.
 """
 
 import pytest
@@ -57,6 +59,32 @@ def mix4():
     ]
 
 
+def serial(factory):
+    """``factory`` with ``step_batch`` replaced by the serial reference loop.
+
+    Interval ``t`` is one ``step``: a decision on the monitor curves of
+    ``t``, then accounting of its actual curves.
+    """
+
+    def make(config, vcs):
+        scheme = factory(config, vcs)
+
+        def step_batch(decide_series, actual_series, instructions, n_intervals):
+            return [
+                scheme.step(
+                    {vc: s[t] for vc, s in decide_series.items()},
+                    {vc: s[t] for vc, s in actual_series.items()},
+                    instructions,
+                )
+                for t in range(n_intervals)
+            ]
+
+        scheme.step_batch = step_batch
+        return scheme
+
+    return make
+
+
 def assert_mix_equal(a, b):
     assert a.scheme_name == b.scheme_name
     assert len(a.per_app) == len(b.per_app)
@@ -69,24 +97,16 @@ class TestMixDifferential:
     @pytest.mark.parametrize("shift", [0, 3])
     def test_two_app_mix_exact(self, cfg, mix2, scheme, shift):
         kwargs = dict(n_intervals=5, sample_shift=shift, use_cache=False)
-        batched = simulate_mix(
-            mix2, cfg, FACTORIES[scheme], engine="batched", **kwargs
-        )
-        serial = simulate_mix(
-            mix2, cfg, FACTORIES[scheme], engine="serial", **kwargs
-        )
-        assert_mix_equal(batched, serial)
+        batched = simulate_mix(mix2, cfg, FACTORIES[scheme], **kwargs)
+        reference = simulate_mix(mix2, cfg, serial(FACTORIES[scheme]), **kwargs)
+        assert_mix_equal(batched, reference)
 
     @pytest.mark.parametrize("scheme", ["Jigsaw", "Whirlpool", "S-NUCA/DRRIP"])
     def test_four_app_mix_exact(self, cfg, mix4, scheme):
         kwargs = dict(n_intervals=4, sample_shift=0, use_cache=False)
-        batched = simulate_mix(
-            mix4, cfg, FACTORIES[scheme], engine="batched", **kwargs
-        )
-        serial = simulate_mix(
-            mix4, cfg, FACTORIES[scheme], engine="serial", **kwargs
-        )
-        assert_mix_equal(batched, serial)
+        batched = simulate_mix(mix4, cfg, FACTORIES[scheme], **kwargs)
+        reference = simulate_mix(mix4, cfg, serial(FACTORIES[scheme]), **kwargs)
+        assert_mix_equal(batched, reference)
 
     def test_pooled_whirlpool_mix_exact(self, cfg, mix2):
         """Multi-VC-per-app layout (the Whirlpool mix rule)."""
@@ -97,26 +117,14 @@ class TestMixDifferential:
             classifiers=classifiers, n_intervals=5, sample_shift=0,
             use_cache=False,
         )
-        batched = simulate_mix(
-            apps, cfg, lambda c, v: WhirlpoolScheme(c, v),
-            engine="batched", **kwargs,
-        )
-        serial = simulate_mix(
-            apps, cfg, lambda c, v: WhirlpoolScheme(c, v),
-            engine="serial", **kwargs,
-        )
-        assert_mix_equal(batched, serial)
+        batched = simulate_mix(apps, cfg, WhirlpoolScheme, **kwargs)
+        reference = simulate_mix(apps, cfg, serial(WhirlpoolScheme), **kwargs)
+        assert_mix_equal(batched, reference)
 
     def test_empty_mix(self, cfg):
-        for engine in ("batched", "serial"):
-            result = simulate_mix(
-                [], cfg, JigsawScheme, n_intervals=4, engine=engine
-            )
+        for factory in (JigsawScheme, serial(JigsawScheme)):
+            result = simulate_mix([], cfg, factory, n_intervals=4)
             assert result.per_app == []
-
-    def test_unknown_engine_rejected(self, cfg, mix2):
-        with pytest.raises(ValueError, match="engine"):
-            simulate_mix(mix2, cfg, JigsawScheme, engine="warp")
 
 
 class TestSingleDifferential:
@@ -124,15 +132,6 @@ class TestSingleDifferential:
     def test_simulate_exact(self, cfg, scheme):
         workload = build_workload("MIS", scale="train", seed=0)
         kwargs = dict(n_intervals=6, use_cache=False)
-        batched = simulate(
-            workload, cfg, FACTORIES[scheme], engine="batched", **kwargs
-        )
-        serial = simulate(
-            workload, cfg, FACTORIES[scheme], engine="serial", **kwargs
-        )
-        assert batched == serial
-
-    def test_unknown_engine_rejected(self, cfg):
-        workload = build_workload("MIS", scale="train", seed=0)
-        with pytest.raises(ValueError, match="engine"):
-            simulate(workload, cfg, JigsawScheme, engine="warp")
+        batched = simulate(workload, cfg, FACTORIES[scheme], **kwargs)
+        reference = simulate(workload, cfg, serial(FACTORIES[scheme]), **kwargs)
+        assert batched == reference

@@ -6,8 +6,8 @@ sample shift) produces pools *exactly* equal — merge order, distances,
 tie-breaks — to :func:`online_pools_reference`, the offline
 profile-then-cluster pipeline.  Likewise
 :meth:`WhirlToolAnalyzer.cluster_incremental` replaying cached distance
-terms must reproduce :meth:`WhirlToolAnalyzer.cluster` float-for-float
-on every growing prefix of a profile.
+terms must reproduce the serial :meth:`WhirlToolAnalyzer.cluster_reference`
+float-for-float on every growing prefix of a profile.
 """
 
 import io
@@ -136,51 +136,107 @@ def make_profile(seed, n_intervals=8, n_regions=4, n=800):
     return CallpointProfile(curves=curves, n_intervals=n_intervals)
 
 
+def profile_subset(profile, callpoints):
+    """``profile`` restricted to ``callpoints`` (a leaf absent so far)."""
+    return CallpointProfile(
+        curves={cp: profile.curves[cp] for cp in callpoints},
+        names=dict(profile.names),
+        n_intervals=profile.n_intervals,
+    )
+
+
+def filled_cache(analyzer):
+    """A cache holding terms from an earlier 4-interval re-cluster."""
+    cache = IncrementalClusterCache()
+    analyzer.cluster_incremental(make_profile(1, n_intervals=4), cache)
+    assert cache.terms
+    return cache
+
+
 class TestIncrementalCluster:
-    """cluster_incremental replays cached terms; cluster is its oracle."""
+    """cluster_incremental replays cached terms; cluster_reference is its oracle."""
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 100), n_intervals=st.sampled_from([1, 3, 8]))
-    def test_cold_cache_matches_cluster(self, seed, n_intervals):
+    def test_cold_cache_matches_reference(self, seed, n_intervals):
         profile = make_profile(seed, n_intervals=n_intervals)
         analyzer = WhirlToolAnalyzer()
         got = analyzer.cluster_incremental(profile, IncrementalClusterCache())
-        assert_same_result(got, analyzer.cluster(profile))
+        assert_same_result(got, analyzer.cluster_reference(profile))
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 100))
     def test_growing_prefixes_one_cache(self, seed):
         # The online replay: one persistent cache, re-clustered at each
-        # prefix; every step must equal a from-scratch cluster().
+        # prefix; every step must equal the serial oracle.
         profile = make_profile(seed, n_intervals=8)
         analyzer = WhirlToolAnalyzer()
         cache = IncrementalClusterCache()
         for k in (1, 2, 4, 7, 8):
             prefix = profile_prefix(profile, k)
             got = analyzer.cluster_incremental(prefix, cache)
-            assert_same_result(got, analyzer.cluster(prefix))
+            assert_same_result(got, analyzer.cluster_reference(prefix))
         # The cache really was incremental: terms cover all 8 intervals.
         assert all(len(v) == 8 for v in cache.terms.values())
 
-    def test_grid_change_invalidates(self):
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 100))
+    def test_cached_terms_of_different_lengths(self, seed):
+        # Leaf 3 is absent from the 5-interval re-cluster, so its pairs
+        # keep 2 cached intervals while the others reach 5; leaf 4
+        # appears only at the end, with no cached terms at all.  The
+        # last re-cluster must extend each pair from its own length.
+        profile = make_profile(seed, n_intervals=8, n_regions=5)
+        cps = sorted(profile.curves)
         analyzer = WhirlToolAnalyzer()
         cache = IncrementalClusterCache()
-        a = make_profile(1, n_intervals=4)
-        analyzer.cluster_incremental(a, cache)
+        for k, leaves in ((2, cps[:4]), (5, cps[:3]), (8, cps)):
+            step = profile_subset(profile_prefix(profile, k), leaves)
+            got = analyzer.cluster_incremental(step, cache)
+            assert_same_result(got, analyzer.cluster_reference(step))
+        assert {len(v) for v in cache.terms.values()} == {8}
+        assert len(cache.terms) == len(cps) * (len(cps) - 1) // 2
+
+    def test_grid_change_invalidates(self):
+        analyzer = WhirlToolAnalyzer()
+        cache = filled_cache(analyzer)
+        stale = set(cache.terms)
         chunk = next(make_source(2).chunks(1 << 21))
         curves = StackDistanceProfiler(chunk_bytes=1024, n_chunks=6).profile(
-            chunk.addrs // 64, chunk.regions, 5400.0, n_intervals=4
+            chunk.addrs // 64, chunk.regions, 5400.0, n_intervals=6
         )
-        b = CallpointProfile(curves=curves, n_intervals=4)
+        b = CallpointProfile(curves=curves, n_intervals=6)
         got = analyzer.cluster_incremental(b, cache)
-        assert_same_result(got, analyzer.cluster(b))
+        assert_same_result(got, analyzer.cluster_reference(b))
         assert cache.grid == (1024, 6)
+        # The same leaf pairs, recomputed on the new grid, not extended.
+        assert set(cache.terms) == stale
+        assert {len(v) for v in cache.terms.values()} == {6}
 
-    def test_single_leaf_falls_back(self):
-        profile = make_profile(3, n_regions=1)
+    @pytest.mark.parametrize("shape", ["one-leaf", "ragged", "mixed-grid"])
+    def test_degenerate_profiles_go_to_reference(self, shape):
         analyzer = WhirlToolAnalyzer()
-        got = analyzer.cluster_incremental(profile, IncrementalClusterCache())
-        assert_same_result(got, analyzer.cluster(profile))
+        profile = make_profile(3, n_intervals=4)
+        if shape == "one-leaf":
+            profile = make_profile(3, n_regions=1)
+        elif shape == "ragged":
+            profile.curves[0] = profile.curves[0][:3]
+        else:
+            wide = StackDistanceProfiler(chunk_bytes=512, n_chunks=12)
+            chunk = next(make_source(3, n=800).chunks(1 << 21))
+            profile.curves[0] = wide.profile(
+                chunk.addrs // 64, chunk.regions, 7200.0, n_intervals=4
+            )[0]
+        cache = filled_cache(analyzer)
+        if shape == "ragged":
+            with pytest.raises(ValueError):
+                analyzer.cluster_reference(profile)
+            with pytest.raises(ValueError):
+                analyzer.cluster_incremental(profile, cache)
+        else:
+            got = analyzer.cluster_incremental(profile, cache)
+            assert_same_result(got, analyzer.cluster_reference(profile))
+        assert cache.terms == {} and cache.grid is None
 
 
 class TestPhaseDetector:
