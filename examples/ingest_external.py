@@ -10,8 +10,8 @@ produces) plus an allocation log — then ingests it:
 2. convert to the native ``.rtrace`` archive (content-fingerprinted),
 3. register it under ``$REPRO_TRACE_DIR`` so every scheme, sweep and
    campaign can run it by name,
-4. profile it **out of core** with the streaming engine and check the
-   curves are bit-identical to the in-memory profiler.
+4. profile it **out of core**, chunk by chunk, and check the curves
+   are bit-identical to profiling the whole trace as one chunk.
 
 Run:  python examples/ingest_external.py
 """
@@ -89,20 +89,20 @@ def main() -> None:
     print(f"registered workload: {workload.name}, "
           f"{len(workload.trace)} accesses, apki {workload.trace.apki:.1f}")
 
-    # 4. Out-of-core profiling, bit-identical to in-memory.
+    # 4. Out-of-core profiling, bit-identical to one chunk.
     rtrace = RTraceSource(traces_dir / "extapp.rtrace")
     streaming = StreamingStackProfiler(chunk_bytes=64 * 1024, n_chunks=64)
     got = streaming.profile_source(rtrace, n_intervals=4,
                                    chunk_records=1 << 16)
-    mem = StackDistanceProfiler(chunk_bytes=64 * 1024, n_chunks=64)
-    want = mem.profile(workload.trace.lines, workload.trace.regions,
+    one_chunk = StackDistanceProfiler(chunk_bytes=64 * 1024, n_chunks=64)
+    want = one_chunk.profile(workload.trace.lines, workload.trace.regions,
                        workload.trace.instructions, n_intervals=4)
     exact = all(
         np.array_equal(cg.misses, cw.misses)
         for rid in want
         for cg, cw in zip(got[rid], want[rid])
     )
-    print(f"streaming vs in-memory curves bit-identical: {exact}")
+    print(f"many-chunk vs one-chunk curves bit-identical: {exact}")
     for rid, curves in sorted(got.items()):
         name = rtrace.region_names.get(rid, str(rid))
         print(f"  region {name:>6}: apki {curves[0].apki:.2f}, "

@@ -20,7 +20,7 @@ Profiling intervals become *epochs* sealed as data passes them:
   retained for the differential tests.
 - **Unbounded sources** (``n_records`` is ``None``: live pipes,
   growing files, generators) get fixed-size record-count epochs
-  appended open-endedly (:meth:`~repro.ingest.stream.StreamingProfile.
+  appended open-endedly (:meth:`~repro.curves.reuse.StreamingProfile.
   open_interval`); a trailing partial epoch is sealed at
   :meth:`OnlineWhirlTool.finish`.
 
@@ -50,9 +50,8 @@ from repro.core.whirltool.analyzer import (
 )
 from repro.core.whirltool.profiler import CallpointProfile
 from repro.curves.miss_curve import MissCurve
-from repro.curves.reuse import StackDistanceProfiler
+from repro.curves.reuse import StackDistanceProfiler, StreamingProfile, relabel_regions
 from repro.ingest.source import DEFAULT_CHUNK_RECORDS, TraceChunk, TraceSource
-from repro.ingest.stream import StreamingProfile, StreamingStackProfiler
 
 __all__ = [
     "EpochReport",
@@ -225,7 +224,7 @@ class OnlineWhirlTool:
     # ------------------------------------------------------------------
     def start(self, source: TraceSource) -> None:
         """Bind to a source: fix the epoch grid and reset all state."""
-        profiler = StreamingStackProfiler(
+        profiler = StackDistanceProfiler(
             chunk_bytes=self.chunk_bytes,
             n_chunks=self.n_chunks,
             line_bytes=source.line_bytes,
@@ -448,12 +447,13 @@ def online_pools_reference(
 ) -> ClusteringResult:
     """The offline oracle for :meth:`OnlineWhirlTool.run`.
 
-    Materializes the (sized) source in memory, profiles it with the
-    one-shot :class:`~repro.curves.reuse.StackDistanceProfiler`, and
+    Materializes the (sized) source in memory, profiles it as one chunk
+    with :meth:`~repro.curves.reuse.StackDistanceProfiler.profile`, and
     clusters with the batch :meth:`~repro.core.whirltool.analyzer.
     WhirlToolAnalyzer.cluster` — the pre-online pipeline, retained so
-    the differential tests can pin the streamed result bit-identical to
-    it (merge order, distances, tie-breaks) for any chunking.
+    the differential tests can pin the streamed result (many chunks,
+    epoch-by-epoch re-clustering) bit-identical to it (merge order,
+    distances, tie-breaks) for any chunking.
     """
     if instructions is None:
         instructions = source.instructions
@@ -480,8 +480,6 @@ def online_pools_reference(
     lines = np.concatenate(addr_parts) // source.line_bytes
     regions = np.concatenate(region_parts)
     if mapping is not None:
-        from repro.sim.profiling import relabel_regions
-
         regions = relabel_regions(regions, mapping)
     profiler = StackDistanceProfiler(
         chunk_bytes=chunk_bytes,

@@ -9,9 +9,9 @@ curve per VC; here we compute it in software, exactly or approximately
 via address sampling, which is both faster and closer to what a sampled
 hardware monitor sees.
 
-Two exact engines are provided:
+Two distance kernels are provided:
 
-- :func:`stack_distances` — the production engine.  Mattson's algorithm
+- :func:`stack_distances` — the production kernel.  Mattson's algorithm
   reduces to offline 2D dominance counting: with ``prev[i]`` the index of
   the previous access to ``lines[i]`` (or -1), every distinct line in the
   reuse window of a non-cold access has exactly one first-touch inside
@@ -26,21 +26,71 @@ Two exact engines are provided:
 - :func:`stack_distances_reference` — the original per-access Fenwick
   sweep, kept as a slow, independently-derived oracle for tests and the
   perf gate.
+
+One profiling engine
+--------------------
+:class:`StreamingProfile` is the one engine that turns a trace into
+per-(region, interval) miss curves.  It consumes the trace as a
+sequence of chunks, carrying per-region (line -> last position) state
+between them, and accumulates integer bucket counts per (region,
+interval) in an :class:`IntervalBucketAccumulator`.
+:meth:`StackDistanceProfiler.profile` is the one-chunk case (``begin``,
+one ``push``, ``finalize``); the out-of-core driver
+(:class:`repro.ingest.stream.StreamingStackProfiler`) and the online
+classifier (:class:`repro.core.whirltool.online.OnlineWhirlTool`) push
+many chunks.  Bucket counts are integers, so every chunking of the same
+trace finalizes to bit-identical curves.
+
+How the chunk decomposition stays exact
+---------------------------------------
+Split a trace at any chunk boundary and classify each access in the
+current chunk:
+
+- *locally hot* (previous occurrence inside the chunk): the whole reuse
+  window lies inside the chunk, so :func:`_prev_occurrence` +
+  :func:`_distances_from_prev` compute it from the chunk alone.
+- *locally cold, known line* (previous occurrence in an earlier chunk):
+  the distinct lines in the window split into three exactly-countable
+  groups.  With ``p`` the line's carried last position and ``i`` the
+  access position::
+
+      distance = A + B - C
+      A = distinct lines touched in this chunk before i   (any line)
+      B = carried lines whose last position is > p        (stale markers)
+      C = carried lines with last position > p that were   (counted in
+          re-touched in this chunk before i                both A and B)
+
+  ``A`` is a per-segment running count of chunk-first-occurrences; ``B``
+  is a searchsorted against the sorted carried positions; and because
+  the ``C`` queries *are* the chunk-first-occurrences of carried lines,
+  ``C`` reduces to an inversion count over their carried positions —
+  resolved by the same wavelet dominance counter.
+- *locally cold, unknown line*: a true cold miss.
+
+With a single chunk every access is locally hot or a true cold miss.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.curves.fenwick import FenwickTree
 from repro.curves.miss_curve import MissCurve
 
+if TYPE_CHECKING:
+    from repro.ingest.source import TraceChunk
+
 __all__ = [
     "IntervalBucketAccumulator",
     "StackDistanceProfiler",
+    "StreamingProfile",
     "distance_bucket_counts",
     "miss_curve_from_bucket_counts",
     "miss_curve_from_distances",
+    "relabel_regions",
     "stack_distances",
     "stack_distances_reference",
 ]
@@ -382,18 +432,18 @@ def miss_curve_from_bucket_counts(
 class IntervalBucketAccumulator:
     """Grow-able per-interval bucket-count accumulation for one stream.
 
-    The additive integer state behind the out-of-core and online
-    profiling engines: per profiling interval, a distance-bucket
-    histogram (:func:`distance_bucket_counts`), cold/sampled counters,
-    and the unsampled access count.  Because every field is a plain
-    integer count, accumulation commutes — chunks can arrive in any
-    split — and new interval rows can be *appended* while earlier ones
-    keep accumulating, which is what lets an online profiler open
-    epochs as data arrives instead of fixing the interval grid up
-    front.  :meth:`interval_curve` finalizes one interval through
-    :func:`miss_curve_from_bucket_counts` plus the engines' shared
-    unsampled-access rescale, bit-identical to bucketing that
-    interval's distances in a single call.
+    The additive integer state behind :class:`StreamingProfile`, one
+    per region: per profiling interval, a distance-bucket histogram
+    (:func:`distance_bucket_counts`), cold/sampled counters, and the
+    unsampled access count.  Because every field is a plain integer
+    count, accumulation commutes — chunks can arrive in any split — and
+    new interval rows can be *appended* while earlier ones keep
+    accumulating, which is what lets an online profiler open epochs as
+    data arrives instead of fixing the interval grid up front.
+    :meth:`interval_curve` finalizes one interval through
+    :func:`miss_curve_from_bucket_counts` plus an unsampled-access
+    rescale, bit-identical to bucketing that interval's distances in a
+    single call.
     """
 
     def __init__(self, n_chunks: int, n_intervals: int = 0) -> None:
@@ -458,13 +508,12 @@ class IntervalBucketAccumulator:
     ) -> MissCurve:
         """Finalize one interval's counts into a :class:`MissCurve`.
 
-        Shares the float pipeline (and the exact operation order) of
-        :class:`StackDistanceProfiler.profile`: bucket counts finalize
-        through :func:`miss_curve_from_bucket_counts`, then the access
-        count is rescaled to the true unsampled count so APKI stays
-        exact under address sampling.  Intervals with no sampled access
-        degrade to the flat all-miss curve, exactly like the in-memory
-        engine.
+        Bucket counts finalize through
+        :func:`miss_curve_from_bucket_counts` (the float pipeline of
+        :func:`miss_curve_from_distances`), then the access count is
+        rescaled to the true unsampled count so APKI stays exact under
+        address sampling.  Intervals with no sampled access degrade to
+        the flat all-miss curve.
         """
         n_acc = int(self.accesses[interval])
         n_samp = int(self.sampled[interval])
@@ -478,8 +527,8 @@ class IntervalBucketAccumulator:
                 instructions,
                 scale=scale,
             )
-            # Same unsampled-access rescale as the in-memory engine, in
-            # the same operation order.
+            # Rescale to the true (unsampled) access count so APKI is
+            # exact even when miss counts are approximate.
             ratio = n_acc / curve.accesses
             return MissCurve(
                 misses=curve.misses * ratio,
@@ -495,6 +544,23 @@ class IntervalBucketAccumulator:
         )
 
 
+def relabel_regions(
+    regions: np.ndarray, mapping: dict[int, int]
+) -> np.ndarray:
+    """Relabel region ids with VC ids via a dense LUT.
+
+    Ids missing from the mapping fall into VC 0 — the convention of
+    every profiling caller (:func:`repro.sim.profiling.profile_vcs`,
+    :meth:`StreamingProfile.push_chunk` and the online classifier).
+    """
+    max_rid = int(regions.max()) if len(regions) else 0
+    lut = np.zeros(max_rid + 1, dtype=np.int32)
+    for rid, vc in mapping.items():
+        if 0 <= rid <= max_rid:
+            lut[rid] = vc
+    return lut[regions]
+
+
 class StackDistanceProfiler:
     """Profiles a trace into per-region, per-interval miss-rate curves.
 
@@ -508,11 +574,9 @@ class StackDistanceProfiler:
     by 2^k.  This mirrors set-sampled hardware monitors (UMON/GMON) and
     keeps profiling fast on long traces.  ``sample_shift = 0`` is exact.
 
-    :meth:`profile` makes a single vectorized pass over the whole trace:
-    one sample mask, one previous-occurrence computation over composite
-    (region, line) keys, and one dominance-counting sweep produce every
-    region's distances at once; per-region, per-interval curves are then
-    cheap histogram reductions over views of that one distance array.
+    :meth:`profile` pushes the whole trace into a :class:`StreamingProfile`
+    as one chunk; :meth:`begin` opens a profile for callers that push
+    chunks themselves.
     """
 
     def __init__(
@@ -541,6 +605,17 @@ class StackDistanceProfiler:
         )
         return hashed == 0
 
+    def begin(
+        self, bounds: np.ndarray | list[int] | tuple[int, ...] = (0,)
+    ) -> StreamingProfile:
+        """Open an incremental profile with the given interval bounds.
+
+        ``bounds`` may be just ``[0]`` (no intervals yet): the online
+        path appends record-count epochs with
+        :meth:`StreamingProfile.open_interval` as data arrives.
+        """
+        return StreamingProfile(self, np.asarray(bounds))
+
     def profile(
         self,
         lines: np.ndarray,
@@ -563,77 +638,14 @@ class StackDistanceProfiler:
         Returns:
             Mapping ``region id -> [MissCurve, ...]`` (one per interval).
         """
+        if n_intervals < 1:
+            raise ValueError(f"n_intervals must be >= 1, got {n_intervals}")
         lines = np.asarray(lines)
-        regions = np.asarray(regions)
-        if len(lines) != len(regions):
-            raise ValueError("lines and regions must have equal length")
-        n = len(lines)
-        scale = float(1 << self.sample_shift)
-        instr_per_interval = instructions / n_intervals
-        bounds = np.linspace(0, n, n_intervals + 1).astype(np.int64)
-        region_ids = np.unique(regions)
-
-        # Unsampled per-(region, interval) access counts, for exact APKI.
-        ridx = np.searchsorted(region_ids, regions)
-        interval_of = np.repeat(np.arange(n_intervals), np.diff(bounds))
-        acc_counts = np.bincount(
-            ridx * n_intervals + interval_of,
-            minlength=len(region_ids) * n_intervals,
-        ).reshape(len(region_ids), n_intervals)
-
-        # One pass for every region: group the sampled accesses by region
-        # (stable, so each segment stays in stream order), chain previous
-        # occurrences over (region, line) keys, and resolve all distances
-        # in a single dominance-counting sweep.
-        keep = self._sample_mask(lines)
-        kept_idx = np.nonzero(keep)[0]
-        gorder = np.argsort(regions[kept_idx], kind="stable")
-        g_src = kept_idx[gorder]
-        g_regions = regions[g_src]
-        prev = _prev_occurrence(np.ascontiguousarray(lines[g_src]), g_regions)
-        seg_starts = np.searchsorted(g_regions, region_ids, side="left")
-        seg_ends = np.searchsorted(g_regions, region_ids, side="right")
-        base = np.repeat(seg_starts, seg_ends - seg_starts)
-        dist = _distances_from_prev(prev, base)
-
-        out: dict[int, list[MissCurve]] = {}
-        for r, rid in enumerate(region_ids.tolist()):
-            r_dist = dist[seg_starts[r] : seg_ends[r]]
-            r_src = g_src[seg_starts[r] : seg_ends[r]]  # ascending
-            curves: list[MissCurve] = []
-            for t in range(n_intervals):
-                lo, hi = bounds[t], bounds[t + 1]
-                wlo, whi = np.searchsorted(r_src, [lo, hi], side="left")
-                n_acc = int(acc_counts[r, t])
-                curve = miss_curve_from_distances(
-                    r_dist[wlo:whi],
-                    chunk_bytes=self.chunk_bytes,
-                    n_chunks=self.n_chunks,
-                    instructions=instr_per_interval,
-                    line_bytes=self.line_bytes,
-                    scale=scale,
-                    distance_scale=scale,
-                )
-                # Rescale access count to the true (unsampled) count so
-                # APKI is exact even when miss counts are approximate.
-                if curve.accesses > 0:
-                    ratio = n_acc / curve.accesses
-                    curve = MissCurve(
-                        misses=curve.misses * ratio,
-                        chunk_bytes=curve.chunk_bytes,
-                        accesses=float(n_acc),
-                        instructions=curve.instructions,
-                    )
-                else:
-                    curve = MissCurve(
-                        misses=np.full(self.n_chunks + 1, float(n_acc)),
-                        chunk_bytes=self.chunk_bytes,
-                        accesses=float(n_acc),
-                        instructions=instr_per_interval,
-                    )
-                curves.append(curve)
-            out[int(rid)] = curves
-        return out
+        prof = self.begin(
+            np.linspace(0, len(lines), n_intervals + 1).astype(np.int64)
+        )
+        prof.push(lines, np.asarray(regions))
+        return prof.finalize(instructions)
 
     def profile_combined(
         self, lines: np.ndarray, instructions: float, n_intervals: int = 1
@@ -641,3 +653,285 @@ class StackDistanceProfiler:
         """Profile the whole trace as a single region (S-NUCA's view)."""
         regions = np.zeros(len(lines), dtype=np.int32)
         return self.profile(lines, regions, instructions, n_intervals)[0]
+
+
+@dataclass
+class _RegionState:
+    """Carried cross-chunk state for one region (sampled stream).
+
+    ``lines`` is sorted ascending; ``pos`` holds each line's last
+    sampled global position, aligned with ``lines``.
+    """
+
+    lines: np.ndarray
+    pos: np.ndarray
+
+
+class StreamingProfile:
+    """An in-progress profile: carried state plus bucket counts.
+
+    Holds per-region (line -> last position) markers plus
+    per-(region, interval) bucket-count accumulators behind an
+    incremental push/seal/finalize API, so a profile can outlive any
+    single pass over a source:
+
+    - :meth:`push` consumes the next records as line/region arrays, and
+      :meth:`push_chunk` one :class:`~repro.ingest.source.TraceChunk`
+      (records must lie inside the currently open interval bounds);
+    - :meth:`open_interval` appends a new record-count interval while
+      the stream runs (the open-ended epoch model for unbounded
+      sources);
+    - :meth:`interval_curve` finalizes a single sealed (region,
+      interval) cell, and :meth:`finalize` the whole grid.
+
+    Bucket counts are integers, so every finalization is bit-identical
+    no matter how the stream was chunked.
+    """
+
+    def __init__(
+        self, profiler: StackDistanceProfiler, bounds: np.ndarray
+    ) -> None:
+        bounds = np.ascontiguousarray(bounds, dtype=np.int64)
+        if len(bounds) < 1 or bounds[0] != 0:
+            raise ValueError("bounds must start at record 0")
+        if len(bounds) > 1 and bool((np.diff(bounds) < 0).any()):
+            raise ValueError("bounds must be non-decreasing")
+        self._p = profiler
+        self.bounds = bounds
+        self.offset = 0
+        self._state: dict[int, _RegionState] = {}
+        self._acc: dict[int, IntervalBucketAccumulator] = {}
+        self._scale = float(1 << profiler.sample_shift)
+
+    @property
+    def n_intervals(self) -> int:
+        """Intervals currently open (sealed or still filling)."""
+        return len(self.bounds) - 1
+
+    def region_ids(self) -> list[int]:
+        """Region ids observed so far, sorted."""
+        return sorted(self._acc)
+
+    def open_interval(self, end: int) -> None:
+        """Append a new interval ending at record index ``end``."""
+        if end <= int(self.bounds[-1]):
+            raise ValueError(
+                f"interval end {end} does not extend the last bound "
+                f"{int(self.bounds[-1])}"
+            )
+        self.bounds = np.append(self.bounds, np.int64(end))
+
+    # ------------------------------------------------------------------
+    # Per-chunk stages
+    # ------------------------------------------------------------------
+    def push_chunk(
+        self, chunk: TraceChunk, mapping: dict[int, int] | None = None
+    ) -> None:
+        """Consume one chunk of records (in stream order).
+
+        Addresses become lines at the profiler's ``line_bytes``; a chunk
+        without regions is all region 0; ``mapping`` relabels region ids
+        (:func:`relabel_regions`) before the records go to :meth:`push`.
+        """
+        lines = chunk.addrs // self._p.line_bytes
+        if chunk.regions is None:
+            regions = np.zeros(len(chunk), dtype=np.int32)
+        else:
+            regions = chunk.regions
+        if mapping is not None:
+            regions = relabel_regions(regions, mapping)
+        self.push(lines, regions)
+
+    def push(self, lines: np.ndarray, regions: np.ndarray) -> None:
+        """Consume the next records' line addresses and region ids."""
+        if len(lines) != len(regions):
+            raise ValueError("lines and regions must have equal length")
+        n = len(lines)
+        if n == 0:
+            return
+        if self.offset + n > int(self.bounds[-1]):
+            raise ValueError(
+                f"chunk extends to record {self.offset + n} but the last "
+                f"open interval ends at {int(self.bounds[-1])}; call "
+                "open_interval first"
+            )
+        self._count_accesses(regions)
+        self._process_chunk(lines, regions)
+        self.offset += n
+
+    def _accumulator(self, rid: int) -> IntervalBucketAccumulator:
+        acc = self._acc.get(rid)
+        if acc is None:
+            acc = self._acc[rid] = IntervalBucketAccumulator(
+                self._p.n_chunks
+            )
+        acc.ensure_intervals(self.n_intervals)
+        return acc
+
+    def _count_accesses(self, regions: np.ndarray) -> None:
+        """Accumulate unsampled per-(region, interval) access counts.
+
+        Interval lookup is a two-sided ``searchsorted`` against the
+        bounds: with right-side search, a record index sitting exactly
+        on a (possibly duplicated) bound lands in the *last* interval
+        starting there, because empty intervals (duplicate bounds) own
+        no records.
+        """
+        n = len(regions)
+        offset = self.offset
+        bounds = self.bounds
+        t0 = int(np.searchsorted(bounds, offset, side="right")) - 1
+        t1 = int(np.searchsorted(bounds, offset + n - 1, side="right")) - 1
+        for t in range(t0, t1 + 1):
+            lo = max(0, int(bounds[t]) - offset)
+            hi = min(n, int(bounds[t + 1]) - offset)
+            if lo >= hi:
+                continue  # empty interval straddled by this chunk
+            ids, counts = np.unique(regions[lo:hi], return_counts=True)
+            for rid, c in zip(ids.tolist(), counts.tolist()):
+                self._accumulator(rid).add_accesses(t, c)
+
+    def _process_chunk(self, lines: np.ndarray, regions: np.ndarray) -> None:
+        keep = self._p._sample_mask(lines)
+        kept = np.nonzero(keep)[0]
+        if kept.size == 0:
+            return
+        # Group sampled accesses by region, preserving stream order.
+        gorder = np.argsort(regions[kept], kind="stable")
+        g_src = kept[gorder]
+        g_lines = np.ascontiguousarray(lines[g_src])
+        g_regions = regions[g_src]
+        g_pos = self.offset + g_src  # global positions, ascending per segment
+        rids = np.unique(g_regions)
+        seg_starts = np.searchsorted(g_regions, rids, side="left")
+        seg_ends = np.searchsorted(g_regions, rids, side="right")
+        base = np.repeat(seg_starts, seg_ends - seg_starts)
+
+        # Locally-hot distances from the chunk alone.
+        prev = _prev_occurrence(g_lines, g_regions)
+        dist = _distances_from_prev(prev, base)
+        cold_local = prev < 0
+        # A: distinct lines touched earlier in the same chunk segment.
+        excl = np.cumsum(cold_local) - cold_local
+        distinct_before = excl - excl[base]
+
+        for r, rid in enumerate(rids.tolist()):
+            s, e = int(seg_starts[r]), int(seg_ends[r])
+            st = self._state.get(rid)
+            seg_cold = s + np.nonzero(cold_local[s:e])[0]
+            if st is not None and seg_cold.size:
+                self._resolve_carried(
+                    st, g_lines, seg_cold, distinct_before, dist
+                )
+            self._update_state(rid, st, g_lines[s:e], g_pos[s:e])
+            self._accumulate(rid, dist[s:e], g_pos[s:e])
+
+    def _resolve_carried(
+        self,
+        st: _RegionState,
+        g_lines: np.ndarray,
+        seg_cold: np.ndarray,
+        distinct_before: np.ndarray,
+        dist: np.ndarray,
+    ) -> None:
+        """Fill distances for chunk-cold accesses whose line is carried."""
+        q = g_lines[seg_cold]
+        loc = np.searchsorted(st.lines, q)
+        inb = loc < len(st.lines)
+        hit = np.zeros(len(q), dtype=bool)
+        hit[inb] = st.lines[loc[inb]] == q[inb]
+        if not hit.any():
+            return
+        hit_idx = seg_cold[hit]
+        p = st.pos[loc[hit]]  # carried position per query, in stream order
+        a = distinct_before[hit_idx]
+        pos_sorted = np.sort(st.pos)
+        b = len(pos_sorted) - np.searchsorted(pos_sorted, p, side="right")
+        # C: inversions among the carried positions of re-touched lines —
+        # carried lines with a later marker that were re-touched earlier.
+        counts = _dominance_counts(p, np.argsort(p, kind="stable"))
+        c = np.arange(len(p), dtype=np.int64) - counts
+        dist[hit_idx] = a + b - c
+
+    def _update_state(
+        self,
+        rid: int,
+        st: _RegionState | None,
+        seg_lines: np.ndarray,
+        seg_pos: np.ndarray,
+    ) -> None:
+        """Move touched lines' markers to their last position this chunk."""
+        o = np.argsort(seg_lines, kind="stable")
+        sl = seg_lines[o]
+        last = np.ones(len(sl), dtype=bool)
+        if len(sl) > 1:
+            last[:-1] = sl[1:] != sl[:-1]
+        new_lines = sl[last]
+        new_pos = seg_pos[o][last]
+        if st is None:
+            self._state[rid] = _RegionState(lines=new_lines, pos=new_pos)
+            return
+        loc = np.searchsorted(st.lines, new_lines)
+        inb = loc < len(st.lines)
+        dup = np.zeros(len(new_lines), dtype=bool)
+        dup[inb] = st.lines[loc[inb]] == new_lines[inb]
+        keep_old = np.ones(len(st.lines), dtype=bool)
+        keep_old[loc[dup]] = False
+        # Linear merge of two sorted distinct-line arrays (np.insert
+        # shifts once for all insertion points): O(F + chunk) per chunk,
+        # not a footprint-sized argsort.
+        old_lines = st.lines[keep_old]
+        idx = np.searchsorted(old_lines, new_lines)
+        self._state[rid] = _RegionState(
+            lines=np.insert(old_lines, idx, new_lines),
+            pos=np.insert(st.pos[keep_old], idx, new_pos),
+        )
+
+    def _accumulate(
+        self, rid: int, seg_dist: np.ndarray, seg_pos: np.ndarray
+    ) -> None:
+        """Add one segment's distances into the interval accumulators."""
+        acc = self._accumulator(rid)
+        # Positions ascend within a segment, so each interval is a slice.
+        w = np.searchsorted(seg_pos, self.bounds, side="left")
+        for t in np.nonzero(np.diff(w) > 0)[0].tolist():
+            acc.add_distances(
+                t,
+                seg_dist[w[t] : w[t + 1]],
+                self._p.chunk_bytes,
+                self._p.line_bytes,
+                distance_scale=self._scale,
+            )
+
+    # ------------------------------------------------------------------
+    # Finalization
+    # ------------------------------------------------------------------
+    def interval_curve(
+        self, rid: int, interval: int, instructions: float
+    ) -> MissCurve:
+        """Finalize one (region, interval) cell's accumulated counts.
+
+        ``instructions`` is the instruction count of *this* interval
+        (epochs carry their own; fixed grids split the total evenly).
+        Safe to call on sealed intervals while later ones still fill.
+        """
+        acc = self._acc[rid]
+        acc.ensure_intervals(self.n_intervals)
+        return acc.interval_curve(
+            interval, self._p.chunk_bytes, instructions, scale=self._scale
+        )
+
+    def finalize(self, instructions: float) -> dict[int, list[MissCurve]]:
+        """Finalize every (region, interval) cell into miss curves.
+
+        ``instructions`` is the whole-stream total, split evenly across
+        intervals.
+        """
+        instr_per_interval = instructions / self.n_intervals
+        return {
+            int(rid): [
+                self.interval_curve(rid, t, instr_per_interval)
+                for t in range(self.n_intervals)
+            ]
+            for rid in self.region_ids()
+        }

@@ -15,7 +15,8 @@ The pipeline::
 
 and, for traces too large to hold in memory,
 :class:`StreamingStackProfiler` profiles straight off the chunk stream,
-bit-identical to the in-memory engine.
+bit-identical to profiling the materialized trace (the same engine fed
+one chunk).
 
 Live traffic is ingested the same way: :func:`open_stream_source`
 follows a growing text trace (or stdin) as an *unbounded*

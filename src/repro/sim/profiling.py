@@ -23,29 +23,12 @@ import numpy as np
 
 from repro import obs
 from repro.curves.miss_curve import MissCurve
-from repro.curves.reuse import StackDistanceProfiler
+from repro.curves.reuse import StackDistanceProfiler, relabel_regions
 from repro.store.profiles import FORMAT_VERSION, load_profile
 from repro.workloads.trace import Trace
 
 __all__ = ["profile_vcs", "cache_dir", "clear_cache", "relabel_regions"]
 
-
-def relabel_regions(
-    regions: np.ndarray, mapping: dict[int, int]
-) -> np.ndarray:
-    """Relabel region ids with VC ids via a dense LUT.
-
-    Ids missing from the mapping fall into VC 0 — the convention both
-    the in-memory path (:func:`profile_vcs`) and the streaming path
-    (:meth:`repro.ingest.stream.StreamingStackProfiler.profile_source`)
-    share.
-    """
-    max_rid = int(regions.max()) if len(regions) else 0
-    lut = np.zeros(max_rid + 1, dtype=np.int32)
-    for rid, vc in mapping.items():
-        if 0 <= rid <= max_rid:
-            lut[rid] = vc
-    return lut[regions]
 
 _ENV_CACHE = "REPRO_PROFILE_CACHE"
 

@@ -1,10 +1,11 @@
-"""Streaming profiler vs in-memory engine: bit-identical, any chunk size.
+"""Many chunks vs one chunk: bit-identical profiles, any chunk size.
 
-The acceptance contract of the out-of-core path: for every chunk size,
-interval count and sampling shift, :class:`StreamingStackProfiler`
-over a :class:`TraceSource` produces *exactly* the curves the in-memory
-:class:`StackDistanceProfiler` produces over the materialized arrays —
-same floats, not just close ones.
+The acceptance contract of the chunk decomposition: for every chunk
+size, interval count and sampling shift,
+:class:`StreamingStackProfiler` pushing a :class:`TraceSource` through
+the profiling engine chunk by chunk produces *exactly* the curves
+:meth:`StackDistanceProfiler.profile` produces by pushing the
+materialized arrays as one chunk — same floats, not just close ones.
 """
 
 import numpy as np
@@ -266,8 +267,8 @@ class TestIntervalBoundaries:
 
     def test_more_intervals_than_records(self):
         # linspace(0, 5, 17) repeats bounds -> empty intervals between
-        # t0 and t1; streaming must emit the same zero-access curves the
-        # in-memory engine does.
+        # t0 and t1; many chunks must emit the same zero-access curves
+        # one chunk does.
         rng = np.random.default_rng(9)
         n = 5
         for chunk in (1, 2, 64):
@@ -281,8 +282,9 @@ class TestIntervalBoundaries:
             )
 
     def test_access_counts_per_interval_match_repeat_semantics(self):
-        # Offline interval ids are np.repeat over np.diff(bounds); pin
-        # the streaming access tallies against that directly.
+        # A record's interval is np.repeat over np.diff(bounds) (empty
+        # intervals own no records); pin the streaming access tallies
+        # against that directly.
         lines = np.arange(10, dtype=np.int64)
         regions = np.zeros(10, dtype=np.int32)
         n_intervals = 3

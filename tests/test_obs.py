@@ -23,7 +23,7 @@ from repro.obs import (
     MetricRegistry,
     events_path_for,
 )
-from repro.obs.core import _ZERO_BUCKET, _log_bucket
+from repro.obs.core import _ADOPTED_SINKS, _ZERO_BUCKET, _log_bucket
 from repro.obs.report import (
     format_report,
     load_events,
@@ -41,6 +41,19 @@ def obs_off(monkeypatch):
     obs.disable()
     yield
     obs.disable()
+
+
+@pytest.fixture
+def adopted_sinks():
+    """Close the worker-side sinks ``adopt`` caches once the test ends.
+
+    Pool workers keep them open for their whole life; a test process
+    must not.
+    """
+    yield
+    for sink in _ADOPTED_SINKS.values():
+        sink.close()
+    _ADOPTED_SINKS.clear()
 
 
 def enable_memory():
@@ -227,7 +240,7 @@ class TestContextPropagation:
         assert obs.current_context()["parent"] is None
         handle.end()
 
-    def test_adopt_installs_supervisor_trace(self, tmp_path):
+    def test_adopt_installs_supervisor_trace(self, tmp_path, adopted_sinks):
         path = tmp_path / "w.events.jsonl"
         ctx = {"trace": "feedc0de", "parent": "sup-1", "path": str(path)}
         with obs.adopt(ctx):
@@ -241,7 +254,7 @@ class TestContextPropagation:
         assert start["name"] == "worker.attempt"
         assert start["parent"] == "sup-1"
 
-    def test_adopt_overrides_inherited_state(self, tmp_path):
+    def test_adopt_overrides_inherited_state(self, tmp_path, adopted_sinks):
         # Fork-started workers inherit the supervisor's enabled state;
         # a real context must still win (fresh parent, fresh pid).
         local = enable_memory()

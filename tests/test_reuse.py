@@ -100,7 +100,12 @@ class TestVectorizedEngineVsReference:
     @settings(max_examples=40, deadline=None)
     @given(
         lines=st.lists(st.integers(0, 31), min_size=1, max_size=300),
-        regions=st.lists(st.integers(0, 4), min_size=1, max_size=300),
+        # Small ids plus CRC-scale callpoint ids (31-bit hashes).
+        regions=st.lists(
+            st.sampled_from([0, 1, 7, 2**31 - 2, 2**31 - 1]),
+            min_size=1,
+            max_size=300,
+        ),
         n_intervals=st.integers(1, 4),
         sample_shift=st.sampled_from([0, 3]),
     )
@@ -110,7 +115,8 @@ class TestVectorizedEngineVsReference:
         """Full MissCurve equality at sample_shift 0 and 3.
 
         The reference computation mirrors the pre-vectorization profiler:
-        per-region re-slicing with Fenwick distances.
+        per-region re-slicing with Fenwick distances.  It is the one
+        independent oracle of :meth:`StackDistanceProfiler.profile`.
         """
         n = min(len(lines), len(regions))
         # Spread line values so the sampling hash selects a non-trivial
@@ -235,6 +241,17 @@ class TestProfiler:
         # Within 20% at mid sizes (set sampling is unbiased).
         mid = 8
         assert c_sample.misses[mid] == pytest.approx(c_exact.misses[mid], rel=0.25)
+
+    @pytest.mark.parametrize("n_intervals", [1, 3])
+    def test_zero_records_profile_to_nothing(self, n_intervals):
+        prof = StackDistanceProfiler(chunk_bytes=64, n_chunks=2)
+        got = prof.profile(
+            np.zeros(0, dtype=np.int64),
+            np.zeros(0, dtype=np.int32),
+            instructions=1.0,
+            n_intervals=n_intervals,
+        )
+        assert got == {}
 
     def test_mismatched_lengths_rejected(self):
         prof = StackDistanceProfiler(chunk_bytes=64, n_chunks=2)

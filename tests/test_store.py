@@ -221,7 +221,8 @@ class TestArtifactStore:
         payload = {"format_version": np.array(FORMAT_VERSION), "x": np.arange(50)}
 
         def write_deflated(tmp):
-            np.savez_compressed(open(tmp, "wb"), **payload)
+            with open(tmp, "wb") as fh:
+                np.savez_compressed(fh, **payload)
 
         store.publish("profiles", "aa" * 16, write_deflated)
         path = store.path("profiles", "aa" * 16)
@@ -274,7 +275,8 @@ class TestProfilePayload:
         assert verify_profile_payload(path) is None
         data = dict(np.load(path))
         del data["m_0_1"]
-        np.savez(open(path, "wb"), **data)
+        with open(path, "wb") as fh:
+            np.savez(fh, **data)
         assert "m_0_1" in verify_profile_payload(path)
 
 

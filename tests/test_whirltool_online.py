@@ -486,8 +486,9 @@ class TestWatch:
     def test_validate_cli_on_stdin(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "t.csv"
         write_csv(path, n=120)
-        monkeypatch.setattr("sys.stdin", open(path))
-        code = main(["ingest", "validate", "-", "--format", "csv"])
+        with open(path) as stdin:
+            monkeypatch.setattr("sys.stdin", stdin)
+            code = main(["ingest", "validate", "-", "--format", "csv"])
         assert code == 0
         text = capsys.readouterr().out
         assert "120 records parse cleanly" in text
