@@ -3,7 +3,11 @@
 Same contract as ``test_perf_profiling.py`` one layer up the stack: the
 vectorized waterfilling allocator must beat (and stay >= 5x faster than)
 the retained chunk-at-a-time oracle on a 64-consumer x 4096-chunk
-instance, while returning bit-identical allocations.  Timings are also
+instance, while returning bit-identical allocations.  One layer down,
+the convex-hull scan must stay >= 3x faster than the plain monotone
+chain on grid-sized (401- and 1297-point) profile and cost curves,
+whose long flat and rising stretches are most of what the schemes
+hull.  Timings are also
 written as JSON (``benchmarks/perf_partition_timings.json``, gitignored)
 so CI can upload them as an artifact; wall-clock numbers stay out of
 ``benchmarks/results/``.
@@ -13,7 +17,9 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+from repro.curves.miss_curve import _lower_convex_hull, _lower_convex_hull_fast
 from repro.curves.partition import (
     partition_cost_curves,
     partition_cost_curves_reference,
@@ -44,6 +50,35 @@ def _instance(n_consumers=N_CONSUMERS, n_chunks=N_CHUNKS, seed=11):
     return curves
 
 
+def _hull_instance(n_points, seed=7, n_curves=40):
+    """Grid-sized hull inputs shaped like the scheme call sites' curves.
+
+    Half are miss-curve profiles: a convex fall over the first ~8% of
+    sizes, then exactly flat.  Half are U-shaped partition cost curves:
+    ~5% of steps fall, ~45% rise with slowly shrinking increments, and
+    the rest are exactly flat.  The increments jitter a little, so some
+    rising points stay on the hull.  The flat and rising stretches are
+    where the hull scan slides its top vertex along, one pop per point.
+    """
+    rng = np.random.default_rng(seed)
+    curves = []
+    for k in range(n_curves):
+        n_fall = n_points // (13 if k % 2 == 0 else 20)
+        fall = np.sort(rng.exponential(100.0, size=n_fall))
+        values = np.zeros(n_points)
+        values[1 : n_fall + 1] = -np.cumsum(fall[::-1])
+        values[n_fall + 1 :] = values[n_fall]
+        if k % 2:
+            n_rise = n_points * 9 // 20
+            steps = np.sort(rng.uniform(1.0, 2.0, size=n_rise))[::-1]
+            steps += rng.normal(0.0, 0.01, size=n_rise)
+            rise = np.cumsum(steps)
+            values[n_fall + 1 : n_fall + 1 + n_rise] += rise
+            values[n_fall + 1 + n_rise :] += rise[-1]
+        curves.append(values - values.min())
+    return curves
+
+
 def _best_of(fn, repeats=3):
     best, result = float("inf"), None
     for __ in range(repeats):
@@ -53,7 +88,7 @@ def _best_of(fn, repeats=3):
     return best, result
 
 
-def _record_timings(name, t_vec, t_ref):
+def _record_timings(name, t_vec, t_ref, gate="speedup >= 5.0x"):
     """Append one benchmark's timings to the CI artifact JSON."""
     record_timings(
         TIMINGS_PATH,
@@ -63,7 +98,7 @@ def _record_timings(name, t_vec, t_ref):
             "reference_s": t_ref,
             "speedup": (t_ref / t_vec, "x"),
         },
-        gate="speedup >= 5.0x",
+        gate=gate,
     )
 
 
@@ -109,3 +144,28 @@ class TestPerfPartition:
             f"reference {t_ref*1e3:.1f} ms, speedup {speedup:.1f}x"
         )
         assert speedup >= 5.0, f"speedup regressed to {speedup:.1f}x"
+
+    @pytest.mark.parametrize("n_points", [401, 1297])
+    def test_perf_smoke_hull_plateaus(self, n_points):
+        """Hull scan vs the plain monotone chain, >= 3x required.
+
+        Measured 5.7-9.7x (2-vCPU host); the kernel without vectorized
+        slides ran 1.6-2.4x on the same curves.
+        """
+        curves = _hull_instance(n_points)
+        t_vec, got = _best_of(
+            lambda: [_lower_convex_hull_fast(c) for c in curves], repeats=5
+        )
+        t_ref, want = _best_of(
+            lambda: [_lower_convex_hull(c) for c in curves], repeats=5
+        )
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        speedup = t_ref / t_vec
+        _record_timings(
+            f"hull_{n_points}", t_vec, t_ref, gate="speedup >= 3.0x"
+        )
+        print(
+            f"\n[perf] hull {len(curves)}x{n_points}: fast {t_vec*1e3:.1f} ms, "
+            f"reference {t_ref*1e3:.1f} ms, speedup {speedup:.1f}x"
+        )
+        assert speedup >= 3.0, f"hull speedup regressed to {speedup:.1f}x"

@@ -299,10 +299,18 @@ def _lower_convex_hull(values: np.ndarray) -> np.ndarray:
     return np.interp(np.arange(n, dtype=np.float64), xs, ys)
 
 
+#: Scalar slide steps in a row before :func:`_lower_convex_hull_fast`
+#: tries a vectorized slide window, and that window's first length (it
+#: doubles while whole windows slide).  The guard keeps curves whose
+#: slides are short from paying for windows that break at once.
+_SLIDE_AFTER = 4
+_SLIDE_WINDOW = 32
+
+
 def _lower_convex_hull_fast(values: np.ndarray) -> np.ndarray:
     """Fast lower convex hull, bit-identical to :func:`_lower_convex_hull`.
 
-    Runs the same monotone-chain scan with two exact accelerations:
+    Runs the same monotone-chain scan with these exact accelerations:
 
     - All pop tests for *consecutive* stack tops — the test applied when
       the chain has not popped recently, i.e. almost always on smooth
@@ -311,8 +319,17 @@ def _lower_convex_hull_fast(values: np.ndarray) -> np.ndarray:
       ``*2``/``*1`` are exact in IEEE so the values match the scalar
       test).  Runs with no pop are bulk-appended at C speed and the
       python loop only touches the stop points.
-    - The scalar fallback around stops works on a plain python list
-      (identical IEEE doubles, much cheaper indexing than numpy scalars).
+    - Slides: on flat stretches (most steps of a profile curve) and on
+      rising ones (a cost curve past its minimum), each new point pops
+      its predecessor and nothing else, so only the top vertex moves.
+      After ``_SLIDE_AFTER`` such scalar steps in a row, both chord tests
+      of a whole window of points are evaluated as arrays; the scan
+      jumps to the first point that breaks the pattern and re-runs that
+      step on the scalar path.  Windows double while they slide through.
+    - Pop cascades over a consecutive stack suffix of >= 32 vertices
+      are resolved as one array test.
+    - The scalar fallback works on a plain python list (identical IEEE
+      doubles, much cheaper indexing than numpy scalars).
 
     Every chord test evaluated is the same float64 expression on the same
     operands in the same order as the reference scan, so the vertex stack
@@ -336,6 +353,11 @@ def _lower_convex_hull_fast(values: np.ndarray) -> np.ndarray:
     # Length of the suffix of `stack` known to hold consecutive indices
     # (an understatement is fine; it only skips the vectorized paths).
     run_len = 1
+    # Consecutive scalar steps that were slides (exactly one pop), and
+    # the next slide window's length.
+    slides = 0
+    window = _SLIDE_WINDOW
+    xs: np.ndarray | None = None
     i = 1
     while i < n:
         if run_len >= 2 and stack[-1] == i - 1:
@@ -351,7 +373,37 @@ def _lower_convex_hull_fast(values: np.ndarray) -> np.ndarray:
                 run_len += run_end - i + 1
                 i = run_end + 1
                 continue
+        if slides >= _SLIDE_AFTER:
+            # Slide: the stack is [..., k, a, i-1] and each new point j
+            # pops its predecessor (chord a, j-1, j) but not a (chord k,
+            # a, j), so only the top vertex moves.  Evaluate both tests
+            # for a window of j at once; the first j that breaks the
+            # pattern goes back to the scalar chain, which re-runs its
+            # step.
+            if xs is None:
+                xs = np.arange(n, dtype=np.float64)
+            a = stack[-2]
+            hi = min(i + window, n)
+            va = values[a]
+            vj = values[i:hi]
+            slide = (values[i - 1 : hi - 1] - va) * xs[i - a : hi - a] >= (
+                vj - va
+            ) * xs[i - 1 - a : hi - 1 - a]
+            if len(stack) >= 3:
+                k = stack[-3]
+                vk = values[k]
+                slide &= (va - vk) * xs[i - k : hi - k] < (vj - vk) * (a - k)
+            n_slid = hi - i if slide.all() else int(slide.argmin())
+            if n_slid:
+                i += n_slid
+                stack[-1] = i - 1
+            if i == hi:
+                window *= 2
+                continue
+            slides = 0
+            window = _SLIDE_WINDOW
         vi = v[i]
+        popped = 0
         while len(stack) >= 2:
             if run_len >= 32:
                 # Pop cascade over a consecutive suffix: every test pairs
@@ -369,6 +421,7 @@ def _lower_convex_hull_fast(values: np.ndarray) -> np.ndarray:
                 if n_pop:
                     del stack[-n_pop:]
                     run_len -= n_pop
+                    popped += n_pop
                 if n_pop < m:
                     break
                 continue
@@ -376,24 +429,28 @@ def _lower_convex_hull_fast(values: np.ndarray) -> np.ndarray:
             i0 = stack[-2]
             if (v[i1] - v[i0]) * (i - i0) >= (vi - v[i0]) * (i1 - i0):
                 stack.pop()
-                run_len = max(run_len - 1, 1)
+                popped += 1
+                if run_len > 1:
+                    run_len -= 1
             else:
                 break
         stack.append(i)
         run_len = run_len + 1 if stack[-2] == i - 1 else 1
+        slides = slides + 1 if popped == 1 else 0
         i += 1
     if len(stack) == n:
         return values.copy()
-    xs = np.asarray(stack, dtype=np.float64)
-    return np.interp(np.arange(n, dtype=np.float64), xs, values[stack])
+    if xs is None:
+        xs = np.arange(n, dtype=np.float64)
+    return np.interp(xs, xs[stack], values[stack])
 
 
 def prime_hull_caches(curves: Iterable["MissCurve"]) -> None:
     """Pre-fill :meth:`MissCurve.convex_hull` caches for ``curves``.
 
-    The batched engines call this once up front so every later
-    ``hull_curve()`` — in scheme decisions and in accounting — is a cache
-    hit.  Curves whose hull is already cached are skipped; cached values
+    One hull scan per curve, in a loop.  The batched engines call this
+    once up front so every later ``hull_curve()`` — in scheme decisions
+    and in accounting — is a cache hit.  Curves whose hull is already cached are skipped; cached values
     are bit-identical to the lazily computed ones.
     """
     for curve in curves:

@@ -597,13 +597,25 @@ class StackDistanceProfiler:
     # even for strided address streams.
     _HASH_MULT = np.uint64(0x9E3779B97F4A7C15)
 
+    #: Records hashed per block by :meth:`_sample_mask`: its uint64
+    #: scratch stays 512 KB however long the trace is.
+    _SAMPLE_BLOCK = 1 << 16
+
     def _sample_mask(self, lines: np.ndarray) -> np.ndarray:
+        n = len(lines)
         if self.sample_shift == 0:
-            return np.ones(len(lines), dtype=bool)
-        hashed = (lines.astype(np.uint64) * self._HASH_MULT) >> np.uint64(
-            64 - self.sample_shift
-        )
-        return hashed == 0
+            return np.ones(n, dtype=bool)
+        keep = np.empty(n, dtype=bool)
+        shift = np.uint64(64 - self.sample_shift)
+        scratch = np.empty(min(n, self._SAMPLE_BLOCK), dtype=np.uint64)
+        for lo in range(0, n, self._SAMPLE_BLOCK):
+            hi = min(lo + self._SAMPLE_BLOCK, n)
+            hashed = scratch[: hi - lo]
+            np.copyto(hashed, lines[lo:hi], casting="unsafe")
+            np.multiply(hashed, self._HASH_MULT, out=hashed)
+            np.right_shift(hashed, shift, out=hashed)
+            np.equal(hashed, 0, out=keep[lo:hi])
+        return keep
 
     def begin(
         self, bounds: np.ndarray | list[int] | tuple[int, ...] = (0,)

@@ -230,9 +230,9 @@ class Scheme(ABC):
         if n_intervals is None:
             n_intervals = max((len(s) for s in actual_series.values()), default=0)
         if self.hull_accounting:
-            # One batched hull pass for the whole run; every later
-            # hull_curve() call — in decide and in accounting — hits the
-            # cache.
+            # Hull every curve of the run up front (one scan per curve);
+            # every later hull_curve() call — in decide and in
+            # accounting — hits the cache.
             prime_hull_caches(
                 c for series in (decide_series, actual_series)
                 for s in series.values() for c in s

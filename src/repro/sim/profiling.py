@@ -108,28 +108,21 @@ def _fingerprint(
 ) -> str:
     # blake2b over the *full* arrays: sampling the trace (as version 1 did
     # with lines[::257]) lets distinct traces of equal length collide and
-    # silently serve each other's curves.  Hashing ~16 MB/ms-scale is
+    # silently serve each other's curves.  Hashing the arrays is
     # negligible next to profiling itself — but not next to a cache *hit*,
-    # so fingerprints are memoized per trace object (trace arrays are
-    # immutable by convention; a campaign re-evaluating one workload
-    # across schemes and intervals hashes it once).
-    memo_key = (
-        chunk_bytes,
-        n_chunks,
-        n_intervals,
-        sample_shift,
-        tuple(sorted(mapping.items())),
-    )
-    memo = getattr(trace, "_fingerprint_memo", None)
-    if memo is None:
-        memo = {}
-        trace._fingerprint_memo = memo
-    cached = memo.get(memo_key)
-    if cached is not None:
-        return cached
-    h = hashlib.blake2b(digest_size=16)
-    h.update(np.ascontiguousarray(trace.lines, dtype=np.int64).tobytes())
-    h.update(np.ascontiguousarray(trace.regions, dtype=np.int32).tobytes())
+    # so each trace object keeps one hash state that has absorbed its
+    # arrays (trace arrays are immutable by convention) and every key
+    # finishes a copy of it with the grid and mapping suffix.  A mix
+    # shifts each app's VC ids by its position, so mappings rarely
+    # repeat; the arrays are still hashed once per trace.  The arrays go
+    # in through the buffer protocol, so hashing copies nothing.
+    state = getattr(trace, "_fingerprint_state", None)
+    if state is None:
+        state = hashlib.blake2b(digest_size=16)
+        state.update(np.ascontiguousarray(trace.lines, dtype=np.int64))
+        state.update(np.ascontiguousarray(trace.regions, dtype=np.int32))
+        trace._fingerprint_state = state
+    h = state.copy()
     h.update(
         f"v{_FORMAT_VERSION}|{len(trace)}|{trace.instructions}|"
         f"{trace.line_bytes}|{chunk_bytes}|{n_chunks}|"
@@ -137,8 +130,7 @@ def _fingerprint(
     )
     for rid in sorted(mapping):
         h.update(f"{rid}:{mapping[rid]};".encode())
-    memo[memo_key] = h.hexdigest()
-    return memo[memo_key]
+    return h.hexdigest()
 
 
 def profile_vcs(

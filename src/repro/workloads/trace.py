@@ -71,6 +71,14 @@ class Trace:
         if self.instructions <= 0:
             raise ValueError("instructions must be positive")
 
+    def __getstate__(self) -> dict:
+        # The profile-cache fingerprint keeps a blake2b state on the trace
+        # (repro.sim.profiling._fingerprint); hash objects cannot be
+        # pickled, so pickles and deep copies drop it and re-hash lazily.
+        state = self.__dict__.copy()
+        state.pop("_fingerprint_state", None)
+        return state
+
     def __len__(self) -> int:
         return len(self.lines)
 
@@ -281,20 +289,24 @@ class TraceBuilder:
             raise ValueError("no accesses recorded")
         if (instructions is None) == (apki is None):
             raise ValueError("provide exactly one of instructions / apki")
-        addrs = np.concatenate(self._chunks)
+        # Full-length temporaries are released as soon as they are used:
+        # this is the largest transient of a long workload's build.
+        lines = np.concatenate(self._chunks)
+        lines //= self.line_bytes
         regions = np.concatenate(self._region_chunks)
-        lines = addrs // self.line_bytes
         if dedup and len(lines) > 1:
             # Group accesses by region (stable, preserving program order
             # within each region) and drop immediate repeats.
             order = np.argsort(regions, kind="stable")
-            g_lines = lines[order]
-            g_regions = regions[order]
-            repeat = np.zeros(len(lines), dtype=bool)
-            same_line = g_lines[1:] == g_lines[:-1]
-            same_region = g_regions[1:] == g_regions[:-1]
-            repeat[order[1:]] = same_line & same_region
-            keep = ~repeat
+            grouped = regions[order]
+            same = grouped[1:] == grouped[:-1]
+            del grouped
+            grouped = lines[order]
+            same &= grouped[1:] == grouped[:-1]
+            del grouped
+            keep = np.ones(len(lines), dtype=bool)
+            keep[order[1:]] = ~same
+            del order, same
             lines = lines[keep]
             regions = regions[keep]
         if instructions is None:

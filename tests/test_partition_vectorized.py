@@ -29,11 +29,72 @@ curve_value = st.one_of(
 cost_curve = st.lists(curve_value, min_size=2, max_size=24).map(np.array)
 curve_set = st.lists(cost_curve, min_size=1, max_size=6)
 
+# Grid-sized curves (the real grids have 401 and 1297 points), drawn as a
+# few parameters and expanded with array ops.  Their long exactly-flat
+# and exactly-linear stretches drive the hull scan's slide windows and
+# its >= 32-vertex pop cascades, which the short curves above never
+# reach.
+grid_length = st.integers(300, 1300)
+
+
+@st.composite
+def plateau_curves(draw):
+    """Arbitrary levels held for long exactly-equal runs."""
+    runs = draw(
+        st.lists(st.tuples(st.integers(1, 200), curve_value), min_size=1, max_size=30)
+    )
+    lengths, levels = zip(*runs)
+    return np.resize(np.repeat(np.array(levels), lengths), draw(grid_length))
+
+
+@st.composite
+def profile_curves(draw):
+    """Fall-then-flat miss curves: a few drops, exactly flat between them.
+
+    A regular staircase (equal drops at equal spacing) puts every plateau
+    start on one line, so chord tests meet exact collinear ties.  An
+    optional smooth convex head ending in a cliff makes long pop cascades.
+    """
+    n = draw(grid_length)
+    misses = np.zeros(n)
+    if draw(st.booleans()):
+        period = draw(st.integers(2, 80))
+        step = draw(curve_value)
+        for p in range(period, n, period)[: draw(st.integers(1, 40))]:
+            misses[:p] += step
+    else:
+        for p, drop in draw(
+            st.dictionaries(st.integers(1, n - 1), curve_value, max_size=30)
+        ).items():
+            misses[:p] += drop
+    head = draw(st.integers(0, n // 2))
+    if head:
+        x = np.arange(head, dtype=np.float64)
+        misses[:head] += draw(curve_value) * ((head - x) / head) ** 2
+    return misses + draw(curve_value)
+
+
+@st.composite
+def u_cost_curves(draw):
+    """Partition cost curves: scaled misses plus a latency term rising
+    with size, linearly or in steps, so the curve falls then rises."""
+    misses = draw(profile_curves())
+    width = draw(st.integers(1, 50))
+    steps = np.arange(len(misses)) // width
+    return misses * draw(curve_value) + steps * draw(curve_value)
+
 
 class TestHullEquivalence:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(curve_value, min_size=1, max_size=60).map(np.array))
     def test_fast_hull_bit_identical(self, values):
+        got = _lower_convex_hull_fast(values)
+        want = _lower_convex_hull(values)
+        assert np.array_equal(got, want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(plateau_curves(), profile_curves(), u_cost_curves()))
+    def test_fast_hull_bit_identical_on_grid_sized_curves(self, values):
         got = _lower_convex_hull_fast(values)
         want = _lower_convex_hull(values)
         assert np.array_equal(got, want)

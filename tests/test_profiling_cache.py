@@ -6,7 +6,9 @@ fall back to re-profiling rather than crash (a killed campaign worker
 can leave such files behind).
 """
 
+import hashlib
 import os
+import pickle
 import tempfile
 
 import numpy as np
@@ -182,6 +184,101 @@ class TestFingerprint:
         cold_b = profile_vcs(b, use_cache=False, **kwargs)
         profile_vcs(a, use_cache=True, **kwargs)
         assert_curves_equal(profile_vcs(b, use_cache=True, **kwargs), cold_b)
+
+
+def fingerprint_reference(
+    trace, mapping, chunk_bytes, n_chunks, n_intervals, sample_shift
+):
+    """Format-version-2 keys as first defined: both arrays copied out
+    with ``tobytes()`` and hashed afresh on every call.
+
+    The hashing lines are verbatim from that version; its per-trace key
+    memo (a ``_fingerprint_memo`` dict on the trace) is left out.
+    """
+    h = hashlib.blake2b(digest_size=16)
+    h.update(np.ascontiguousarray(trace.lines, dtype=np.int64).tobytes())
+    h.update(np.ascontiguousarray(trace.regions, dtype=np.int32).tobytes())
+    h.update(
+        f"v{profiling._FORMAT_VERSION}|{len(trace)}|{trace.instructions}|"
+        f"{trace.line_bytes}|{chunk_bytes}|{n_chunks}|"
+        f"{n_intervals}|{sample_shift}".encode()
+    )
+    for rid in sorted(mapping):
+        h.update(f"{rid}:{mapping[rid]};".encode())
+    return h.hexdigest()
+
+
+@st.composite
+def fingerprint_calls(draw):
+    """A trace plus an interleaved call sequence with repeats.
+
+    Mappings shift VC ids by an offset, the way a mix numbers each app's
+    VCs by its position.  Every key finishes a copy of one per-trace hash
+    state, so any order of calls, repeats included, must leave that state
+    as the arrays alone made it.
+    """
+    lines, regions, instructions, mapping, __ = draw(trace_inputs())
+    keys = []
+    for __ in range(draw(st.integers(min_value=1, max_value=4))):
+        shift = draw(st.integers(min_value=0, max_value=64))
+        keys.append(
+            (
+                {rid: vc + shift for rid, vc in mapping.items()},
+                draw(st.sampled_from([1024, 4096, 65536])),
+                draw(st.sampled_from([4, 400, 1296])),
+                draw(st.integers(min_value=1, max_value=16)),
+                draw(st.integers(min_value=0, max_value=4)),
+            )
+        )
+    order = draw(
+        st.lists(
+            st.integers(min_value=0, max_value=len(keys) - 1),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    return lines, regions, instructions, [keys[k] for k in order]
+
+
+class TestFingerprintIdentity:
+    """Keys are byte-identical to format version 2's, so stored profiles
+    and the committed fixture pile keep matching."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(calls=fingerprint_calls())
+    def test_matches_reference_in_any_call_order(self, calls):
+        lines, regions, instructions, sequence = calls
+        trace = make_trace(lines, regions, instructions)
+        for args in sequence:
+            assert profiling._fingerprint(trace, *args) == (
+                fingerprint_reference(trace, *args)
+            )
+
+    def test_non_contiguous_views(self):
+        rng = np.random.default_rng(5)
+        lines = rng.integers(0, 2**40, size=(400, 3))
+        regions = rng.integers(0, 2**31 - 1, size=1200).astype(np.int32)
+        args = ({0: 3, 2**31 - 2: 4}, 4096, 400, 8, 2)
+        built = Trace(lines=lines[:, 1], regions=regions[::3], instructions=9e5)
+        # A trace whose arrays were swapped for views after construction
+        # (Trace.__post_init__ would have made them contiguous).
+        swapped = make_trace(lines[:, 1], regions[::3], 9e5)
+        swapped.lines = lines[:, 1]
+        swapped.regions = regions[::3]
+        assert not swapped.lines.flags.c_contiguous
+        want = fingerprint_reference(built, *args)
+        assert profiling._fingerprint(built, *args) == want
+        assert profiling._fingerprint(swapped, *args) == want
+
+    def test_pickled_trace_rehashes(self):
+        trace = make_trace(np.arange(50), np.arange(50) % 3, 700.0)
+        args = ({0: 0, 1: 1, 2: 1}, 1024, 4, 2, 0)
+        key = profiling._fingerprint(trace, *args)
+        copy = pickle.loads(pickle.dumps(trace))
+        assert profiling._fingerprint(copy, *args) == key
+        assert profiling._fingerprint(
+            copy, {0: 1, 1: 1, 2: 1}, 1024, 4, 2, 0
+        ) == fingerprint_reference(copy, {0: 1, 1: 1, 2: 1}, 1024, 4, 2, 0)
 
 
 class TestStoreBackedCache:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.mem import HeapAllocator
 from repro.workloads.trace import Trace, TraceBuilder, interleave
@@ -263,3 +265,37 @@ class TestTraceBuilder:
         r = tb.region("a")
         tb.access(np.array([0, 64]), r)
         assert tb.n_accesses == 2
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 2),
+                st.lists(st.integers(0, 6), min_size=0, max_size=12),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        st.booleans(),
+    )
+    def test_finalize_matches_per_access_dedup(self, chunks, dedup):
+        """Dedup drops an access iff its region's previous access touched
+        the same line; finalize keeps the builder's chunks intact."""
+        tb = TraceBuilder()
+        ids = [tb.region(f"r{k}") for k in range(3)]
+        for k, lines in chunks:
+            tb.access(np.array(lines, dtype=np.int64) * 64 + k, ids[k])
+        if tb.n_accesses == 0:
+            return
+        before = [c.copy() for c in tb._chunks]
+        trace = tb.finalize(instructions=1000.0, dedup=dedup)
+        want_lines, want_regions, last = [], [], {}
+        for k, lines in chunks:
+            for line in lines:
+                if not (dedup and last.get(k) == line):
+                    want_lines.append(line)
+                    want_regions.append(ids[k])
+                last[k] = line
+        assert trace.lines.tolist() == want_lines
+        assert trace.regions.tolist() == want_regions
+        assert all(np.array_equal(a, b) for a, b in zip(before, tb._chunks))
