@@ -16,10 +16,7 @@ import os
 from dataclasses import dataclass, field
 
 from repro.analysis.compare import STANDARD_SCHEMES
-from repro.core.whirltool import (
-    WhirlToolAnalyzer,
-    WhirlToolProfiler,
-)
+from repro.core.whirltool import trained_clustering
 from repro.exp import Job, MemoryStore, run_jobs
 from repro.exp.execute import cached_workload, execute_job, record_to_result
 from repro.nuca import four_core_config, sixteen_core_config
@@ -69,12 +66,11 @@ def grid_result(job: Job) -> SchemeResult:
 
 
 def clustering_for(app: str, train_scale: str = "train", seed: int = 0):
-    """Train WhirlTool's clustering once per (app, scale)."""
+    """WhirlTool's clustering for (app, scale, seed), memoized per session."""
     key = (app, train_scale, seed)
     if key not in _CLUSTER_CACHE:
         workload = build_workload(app, scale=train_scale, seed=seed)
-        profile = WhirlToolProfiler().profile(workload)
-        _CLUSTER_CACHE[key] = WhirlToolAnalyzer().cluster(profile)
+        _CLUSTER_CACHE[key] = trained_clustering(workload)
     return _CLUSTER_CACHE[key]
 
 

@@ -31,7 +31,7 @@ from pathlib import Path
 
 from repro.analysis import STANDARD_SCHEMES, format_table, placement_map, run_schemes
 from repro.core import TABLE2
-from repro.core.whirltool import WhirlToolAnalyzer, WhirlToolProfiler
+from repro.core.whirltool import trained_clustering
 from repro.nuca import four_core_config, sixteen_core_config
 from repro.workloads import ALL_APPS, MANUAL_APPS, build_workload
 
@@ -124,15 +124,14 @@ def _cmd_placement(args: argparse.Namespace) -> int:
 
 def _cmd_whirltool(args: argparse.Namespace) -> int:
     workload = build_workload(args.app, scale=args.scale, seed=args.seed)
-    profile = WhirlToolProfiler().profile(workload)
-    clustering = WhirlToolAnalyzer().cluster(profile)
-    print(f"callpoints: {len(profile.callpoints)}")
+    clustering = trained_clustering(workload)
+    print(f"callpoints: {len(clustering.callpoints)}")
     print("merge tree:")
     print(clustering.dendrogram_text())
     assignments = clustering.assignments(args.pools)
     pools: dict = {}
     for cp, pool in assignments.items():
-        pools.setdefault(pool, []).append(profile.names.get(cp, str(cp)))
+        pools.setdefault(pool, []).append(clustering.names.get(cp, str(cp)))
     print(f"\n{args.pools}-pool classification:")
     for pool, members in sorted(pools.items()):
         print(f"  pool {pool}: {', '.join(sorted(members))}")

@@ -10,7 +10,9 @@ Three components (Fig 14):
   callpoint -> pool mapping, sending unprofiled callpoints to the
   process VC.
 
-:func:`train_whirltool` runs the full pipeline on a training input.
+:func:`trained_clustering` trains once per training input (profile, then
+cluster) and keeps the merge tree in the artifact store;
+:func:`train_whirltool` wraps it into a classifier.
 
 The *online* variant (:mod:`repro.core.whirltool.online`) streams the
 same pipeline over live traffic: :class:`OnlineWhirlTool` seals
@@ -32,7 +34,11 @@ from repro.core.whirltool.online import (
     online_pools_reference,
 )
 from repro.core.whirltool.profiler import CallpointProfile, WhirlToolProfiler
-from repro.core.whirltool.runtime import WhirlToolClassifier, train_whirltool
+from repro.core.whirltool.runtime import (
+    WhirlToolClassifier,
+    train_whirltool,
+    trained_clustering,
+)
 
 __all__ = [
     "CallpointProfile",
@@ -47,4 +53,5 @@ __all__ = [
     "online_pools_reference",
     "pool_distance",
     "train_whirltool",
+    "trained_clustering",
 ]

@@ -54,7 +54,7 @@ ENV_VAR = "REPRO_FAULTS"
 SITES = {
     "worker": "engine worker boundary (attempt-aware; crash/hang/raise)",
     "execute": "worker-side execute_job entry (count-based)",
-    "store-read": "profile payload read in the artifact store",
+    "store-read": "profile or clustering payload read in the artifact store",
     "rtrace-chunk": ".rtrace chunk member decode (raise/corrupt/truncate)",
     "follow-read": "live-tail readline in ingest watch",
 }

@@ -60,21 +60,17 @@ def cached_workload(name: str, scale: str, seed: int) -> Workload:
 def _whirltool_classifier(app: str, n_pools: int, seed: int):
     """A WhirlTool classifier cutting one cached clustering at k pools.
 
-    ``train_whirltool`` re-profiles and re-clusters per call; a pool
-    sweep over k only needs the merge tree once per (app, seed), so the
-    clustering is cached and cut per k — same results, one training.
+    ``trained_clustering`` trains at most once per store, but a hit
+    still reads and decodes the stored merge tree; a pool sweep over k
+    only needs it once per (app, seed), so the clustering is memoized
+    per process and cut per k.
     """
-    from repro.core.whirltool import (
-        WhirlToolAnalyzer,
-        WhirlToolClassifier,
-        WhirlToolProfiler,
-    )
+    from repro.core.whirltool import WhirlToolClassifier, trained_clustering
 
     key = (app, seed)
     if key not in _CLUSTERING_CACHE:
         train = cached_workload(app, "train", seed)
-        profile = WhirlToolProfiler().profile(train)
-        _CLUSTERING_CACHE[key] = WhirlToolAnalyzer().cluster(profile)
+        _CLUSTERING_CACHE[key] = trained_clustering(train)
     return WhirlToolClassifier(_CLUSTERING_CACHE[key], n_pools=n_pools)
 
 

@@ -159,12 +159,22 @@ def rollup(events: list[dict]) -> dict[str, Any]:
     cache_ratios: dict[str, float] = {}
     for base, hit_name, miss_name in (
         ("profile_cache", "profile_cache.hit", "profile_cache.miss"),
+        ("clustering_cache", "clustering_cache.hit", "clustering_cache.miss"),
         ("store_mmap", "store.load.mmap", "store.load.npz_fallback"),
     ):
         hits = counters.get(hit_name, 0.0)
         misses = counters.get(miss_name, 0.0)
         if hits + misses > 0:
             cache_ratios[base] = round(hits / (hits + misses), 4)
+    # Each profile-cache tier's share of all profile lookups
+    # (``profile_cache.hit.<tier>`` counters).
+    lookups = counters.get("profile_cache.hit", 0.0) + counters.get(
+        "profile_cache.miss", 0.0
+    )
+    for name, hits in sorted(counters.items()):
+        tier = name.removeprefix("profile_cache.hit.")
+        if tier != name and lookups > 0:
+            cache_ratios[f"profile_cache.{tier}"] = round(hits / lookups, 4)
 
     return {
         "events": len(events),

@@ -24,10 +24,17 @@ import numpy as np
 from repro import obs
 from repro.curves.miss_curve import MissCurve
 from repro.curves.reuse import StackDistanceProfiler, relabel_regions
+from repro.store.clusterings import CLUSTERING_VERSION
 from repro.store.profiles import FORMAT_VERSION, load_profile
 from repro.workloads.trace import Trace
 
-__all__ = ["profile_vcs", "cache_dir", "clear_cache", "relabel_regions"]
+__all__ = [
+    "cache_dir",
+    "clear_cache",
+    "clustering_fingerprint",
+    "profile_vcs",
+    "relabel_regions",
+]
 
 
 _ENV_CACHE = "REPRO_PROFILE_CACHE"
@@ -133,6 +140,32 @@ def _fingerprint(
     return h.hexdigest()
 
 
+def clustering_fingerprint(
+    trace: Trace,
+    chunk_bytes: int,
+    n_chunks: int,
+    n_intervals: int,
+    sample_shift: int,
+) -> str:
+    """Store key of the WhirlTool clustering trained on ``trace``.
+
+    Finishes a copy of the trace's array hash state (the one profile
+    keys finish) with the clustering version and the training
+    profiler's grid.  Region names are not hashed: they only label the
+    merge tree.
+    """
+    if getattr(trace, "_fingerprint_state", None) is None:
+        # Any profile key absorbs the arrays into the shared state.
+        _fingerprint(trace, {}, chunk_bytes, n_chunks, n_intervals, sample_shift)
+    h = trace._fingerprint_state.copy()
+    h.update(
+        f"clustering-v{CLUSTERING_VERSION}|{len(trace)}|"
+        f"{trace.instructions}|{trace.line_bytes}|{chunk_bytes}|"
+        f"{n_chunks}|{n_intervals}|{sample_shift}".encode()
+    )
+    return h.hexdigest()
+
+
 def profile_vcs(
     trace: Trace,
     mapping: dict[int, int],
@@ -161,8 +194,10 @@ def profile_vcs(
         )
         cached = _load(key, chunk_bytes, n_intervals)
         if cached is not None:
+            curves, tier = cached
             obs.counter("profile_cache.hit")
-            return cached
+            obs.counter(f"profile_cache.hit.{tier}")
+            return curves
         obs.counter("profile_cache.miss")
 
     # Relabel the trace's regions with VC ids.
@@ -199,22 +234,28 @@ def profile_vcs(
 
 def _load(
     key: str, chunk_bytes: int, n_intervals: int
-) -> dict[int, list[MissCurve]] | None:
+) -> tuple[dict[int, list[MissCurve]], str] | None:
+    """The cached curves and the tier that served them, or None.
+
+    Tiers: ``env_dir`` ($REPRO_PROFILE_CACHE), ``store``, and
+    ``fixture_pile`` (the committed ``.profile_cache/``).
+    """
     # A stale or partially written file (missing arrays, wrong layout
     # version, truncated index) falls back to re-profiling instead of
     # crashing the run; load_profile absorbs all of that into None.
     if os.environ.get(_ENV_CACHE):
-        return load_profile(
-            cache_dir() / f"{key}.npz", chunk_bytes, n_intervals
-        )
+        out = load_profile(cache_dir() / f"{key}.npz", chunk_bytes, n_intervals)
+        return None if out is None else (out, "env_dir")
     path = _profile_store().get("profiles", key)
     if path is not None:
         out = load_profile(path, chunk_bytes, n_intervals)
         if out is not None:
-            return out
+            return out, "store"
     fixture = _fixture_dir()
     if fixture is not None:
-        return load_profile(fixture / f"{key}.npz", chunk_bytes, n_intervals)
+        out = load_profile(fixture / f"{key}.npz", chunk_bytes, n_intervals)
+        if out is not None:
+            return out, "fixture_pile"
     return None
 
 

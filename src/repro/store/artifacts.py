@@ -1,10 +1,11 @@
 """The content-addressed artifact store.
 
-One store unifies the repo's two fingerprint-keyed file piles — the
-profile cache (``.profile_cache/``) and the registered-trace directory
-(``$REPRO_TRACE_DIR``) — behind a single root with typed artifact
-kinds, provenance records, atomic publishes, and maintenance commands
-(``python -m repro store gc|verify|compact|status``).
+One store unifies the repo's fingerprint-keyed artifacts — the profile
+cache (``.profile_cache/``), the registered-trace directory
+(``$REPRO_TRACE_DIR``) and trained WhirlTool clusterings — behind a
+single root with typed artifact kinds, provenance records, atomic
+publishes, and maintenance commands (``python -m repro store
+gc|verify|compact|status``).
 
 Layout::
 
@@ -14,6 +15,9 @@ Layout::
     <root>/traces/ab/<fingerprint>.rtrace    native trace archive, keyed by
                                              its content fingerprint
     <root>/traces/ab/<fingerprint>.json      provenance record
+    <root>/clusterings/ab/<fingerprint>.npz  trained WhirlTool merge tree
+                                             (uncompressed npz)
+    <root>/clusterings/ab/<fingerprint>.json provenance record
     <root>/names/<name>.json                 workload-name -> fingerprint
     <root>/tmp/                              staging area (gc cleans it)
 
@@ -52,7 +56,7 @@ __all__ = [
 ENV_STORE = "REPRO_STORE_DIR"
 
 #: Artifact kinds and their payload extensions.
-KINDS = {"profiles": ".npz", "traces": ".rtrace"}
+KINDS = {"profiles": ".npz", "traces": ".rtrace", "clusterings": ".npz"}
 
 
 def default_root() -> Path:
@@ -333,9 +337,10 @@ class ArtifactStore:
     def verify(self) -> dict:
         """Integrity pass: every payload parses and matches its key.
 
-        Profiles must load as a current-version curve payload; traces
-        must re-hash to the fingerprint they are filed under; name
-        bindings must point at existing artifacts.  Returns ``{"ok":
+        Profiles must load as a current-version curve payload and
+        clusterings as a current-version, self-consistent merge tree;
+        traces must re-hash to the fingerprint they are filed under;
+        name bindings must point at existing artifacts.  Returns ``{"ok":
         [...], "bad": {artifact: reason}}``.
         """
         with obs.span("store.verify") as sp:
@@ -352,8 +357,14 @@ class ArtifactStore:
                 from repro.store.profiles import verify_profile_payload
 
                 error = verify_profile_payload(path)
-            else:
+            elif kind == "clusterings":
+                from repro.store.clusterings import verify_clustering_payload
+
+                error = verify_clustering_payload(path)
+            elif kind == "traces":
                 error = _verify_trace_payload(path, fingerprint)
+            else:
+                raise AssertionError(f"no verifier for kind {kind!r}")
             if error is None:
                 ok.append(label)
             else:

@@ -298,6 +298,51 @@ class TestSinksAndReplay:
         with pytest.raises(ValueError):
             percentile([], 50)
 
+    def test_cache_ratios_per_profile_tier_and_clusterings(
+        self, tmp_path, monkeypatch
+    ):
+        """Each tier that served a profile is counted on its own."""
+        import numpy as np
+
+        from repro.core.whirltool import WhirlToolProfiler, trained_clustering
+        from repro.sim import profiling
+        from repro.workloads.trace import Trace, Workload
+
+        rng = np.random.default_rng(4)
+        trace = Trace(
+            lines=rng.integers(0, 64, 400),
+            regions=rng.integers(0, 3, 400).astype(np.int32),
+            instructions=4000.0,
+            region_names={0: "a", 1: "b", 2: "c"},
+        )
+        args = (trace, {0: 0, 1: 1, 2: 1}, 1024, 4, 1, 0)
+        sink = enable_memory()
+        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "store"))
+        monkeypatch.setenv("REPRO_PROFILE_CACHE", str(tmp_path / "flat"))
+        profiling.profile_vcs(*args)  # miss, written to the flat dir
+        profiling.profile_vcs(*args)  # env_dir hit
+        monkeypatch.delenv("REPRO_PROFILE_CACHE")
+        monkeypatch.setattr(profiling, "_fixture_dir", lambda: tmp_path / "flat")
+        profiling.profile_vcs(*args)  # fixture_pile hit (the store is empty)
+        monkeypatch.setattr(profiling, "_fixture_dir", lambda: None)
+        profiling.profile_vcs(*args)  # miss, published to the store
+        profiling.profile_vcs(*args)  # store hit
+        profiler = WhirlToolProfiler(
+            chunk_bytes=1024, n_chunks=4, n_intervals=1, sample_shift=0
+        )
+        workload = Workload(name="w", trace=trace)
+        for __ in range(3):
+            trained_clustering(workload, profiler)  # miss, hit, hit
+        ratios = rollup(sink.events)["cache_hit_ratios"]
+        assert ratios["profile_cache"] == 0.6
+        assert ratios["profile_cache.env_dir"] == 0.2
+        assert ratios["profile_cache.fixture_pile"] == 0.2
+        assert ratios["profile_cache.store"] == 0.2
+        assert ratios["clustering_cache"] == round(2 / 3, 4)
+        text = format_report(rollup(sink.events))
+        assert "profile_cache.fixture_pile: 20.0%" in text
+        assert "clustering_cache: 66.7%" in text
+
     def test_rollup_reads_lifecycle_events(self):
         sink = enable_memory()
         with obs.span("engine.job", key="a"):

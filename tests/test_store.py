@@ -6,19 +6,29 @@ legacy fixture pile and env-pinned caches are exercised separately in
 """
 
 import json
+import struct
 import zipfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.store import (
     ArtifactStore,
     default_root,
+    load_clustering,
     npz_arrays,
     provenance_record,
+    publish_clustering,
     publish_trace,
 )
 from repro.store.artifacts import ENV_STORE
+from repro.store.clusterings import (
+    CLUSTERING_VERSION,
+    encode_clustering,
+    verify_clustering_payload,
+)
 from repro.store.mmapzip import MappedArchive
 from repro.store.profiles import (
     FORMAT_VERSION,
@@ -50,6 +60,22 @@ def make_curves(n_intervals=2, n_chunks=4, seed=0):
             for t in range(n_intervals)
         ]
     return out
+
+
+def make_clustering(callpoints=(5, 9, 2**31 - 1), distances=(0.5, 1.25)):
+    """A merge tree over ``callpoints``: each merge joins the next leaf."""
+    from repro.core.whirltool.analyzer import ClusteringResult
+
+    merges = []
+    acc = frozenset([callpoints[0]])
+    for cp, distance in zip(callpoints[1:], distances):
+        merges.append((acc, frozenset([cp]), distance))
+        acc = acc | {cp}
+    return ClusteringResult(
+        callpoints=list(callpoints),
+        merges=merges,
+        names={cp: f"r{cp}" for cp in callpoints},
+    )
 
 
 def make_rtrace(path, n=800, seed=3, **kwargs):
@@ -278,6 +304,138 @@ class TestProfilePayload:
         with open(path, "wb") as fh:
             np.savez(fh, **data)
         assert "m_0_1" in verify_profile_payload(path)
+
+
+def float_bits(x):
+    return struct.pack("<d", x)
+
+
+@st.composite
+def merge_trees(draw):
+    """Random merge trees over distinct 31-bit callpoint ids.
+
+    Each step merges two random live clusters (not always down to one),
+    so operands of every size and leaf/internal mix occur.
+    """
+    from repro.core.whirltool.analyzer import ClusteringResult
+
+    callpoints = draw(
+        st.lists(
+            st.integers(0, 2**31 - 1), min_size=1, max_size=12, unique=True
+        )
+    )
+    distances = st.one_of(
+        st.sampled_from([0.0, 5e-324, 2.5e-310, 1e300]),
+        st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+    )
+    live = [frozenset([cp]) for cp in callpoints]
+    merges = []
+    for __ in range(draw(st.integers(0, len(callpoints) - 1))):
+        i, j = draw(
+            st.lists(
+                st.integers(0, len(live) - 1),
+                min_size=2,
+                max_size=2,
+                unique=True,
+            )
+        )
+        a, b = live[i], live[j]
+        merges.append((a, b, draw(distances)))
+        live = [c for k, c in enumerate(live) if k not in (i, j)] + [a | b]
+    return ClusteringResult(callpoints=callpoints, merges=merges)
+
+
+class TestClusteringPayload:
+    @settings(max_examples=60, deadline=None)
+    @given(tree=merge_trees())
+    def test_round_trip_is_bit_identical(self, tree, tmp_path_factory):
+        store = ArtifactStore(tmp_path_factory.mktemp("store"))
+        publish_clustering(store, "ab" * 16, tree)
+        names = {cp: f"region{cp}" for cp in tree.callpoints}
+        got = load_clustering(store.path("clusterings", "ab" * 16), names)
+        assert got.callpoints == tree.callpoints
+        assert got.names == names
+        assert len(got.merges) == len(tree.merges)
+        for (ga, gb, gd), (wa, wb, wd) in zip(got.merges, tree.merges):
+            assert (ga, gb) == (wa, wb)
+            assert float_bits(gd) == float_bits(wd)
+        assert verify_clustering_payload(
+            store.path("clusterings", "ab" * 16)
+        ) is None
+
+    def test_payload_is_mappable_and_sorted(self, store):
+        path = publish_clustering(store, "cd" * 16, make_clustering())
+        arrays = npz_arrays(path)
+        assert arrays is not None  # uncompressed, like profiles
+        assert int(arrays["format_version"]) == CLUSTERING_VERSION
+        assert arrays["members"].tolist() == [5, 9, 5, 9, 2**31 - 1]
+        assert arrays["operand_sizes"].tolist() == [[1, 1], [2, 1]]
+
+    def test_load_missing_and_garbage(self, tmp_path):
+        assert load_clustering(tmp_path / "no.npz", {}) is None
+        (tmp_path / "bad.npz").write_bytes(b"nope")
+        assert load_clustering(tmp_path / "bad.npz", {}) is None
+
+    @pytest.mark.parametrize(
+        "edit, reason",
+        [
+            (lambda d: d.update(format_version=np.array(99)), "version 99"),
+            (lambda d: d.pop("distances"), "missing distances"),
+            (lambda d: d.update(distances=d["distances"][:1]), "distances"),
+            (lambda d: d.update(members=d["members"][:-1]), "sum to"),
+            (
+                lambda d: d.update(members=d["members"] + 1),
+                "not a leaf callpoint",
+            ),
+            (
+                lambda d: d.update(members=d["members"].astype(np.float64)),
+                "int64",
+            ),
+        ],
+    )
+    def test_verify_payload_diagnoses(self, store, edit, reason):
+        path = publish_clustering(store, "ef" * 16, make_clustering())
+        data = encode_clustering(make_clustering())
+        edit(data)
+        with open(path, "wb") as fh:
+            np.savez(fh, **data)
+        assert reason in verify_clustering_payload(path)
+        # A payload verify rejects never loads: callers retrain instead.
+        assert load_clustering(path, {}) is None
+
+    def test_store_maintenance_knows_the_kind(self, store, capsys):
+        from repro.cli import main
+
+        publish_clustering(
+            store,
+            "aa" * 16,
+            make_clustering(),
+            provenance=provenance_record("clusterings", "aa" * 16, "test"),
+        )
+        assert main(["store", "status"]) == 0
+        assert "clusterings: 1 artifacts" in capsys.readouterr().out
+        # Verified as a clustering, not sent to the .rtrace check.
+        assert store.verify() == {"ok": ["clusterings/" + "aa" * 16], "bad": {}}
+        # gc removes an orphaned clustering sidecar, keeps the payload.
+        store._write_json(
+            store.meta_path("clusterings", "bb" * 16), {"orphan": True}
+        )
+        assert store.gc()["removed"] == [
+            f"clusterings/bb/{'bb' * 16}.json"
+        ]
+        assert store.get("clusterings", "aa" * 16) is not None
+        # compact rewrites a deflated clustering payload as mappable.
+        path = store.path("clusterings", "aa" * 16)
+        data = encode_clustering(make_clustering())
+        with open(path, "wb") as fh:
+            np.savez_compressed(fh, **data)
+        assert store.compact()["rewritten"] == ["clusterings/" + "aa" * 16]
+        assert npz_arrays(path) is not None
+        assert verify_clustering_payload(path) is None
+        # A corrupt payload is reported BAD.
+        path.write_bytes(b"garbage")
+        assert main(["store", "verify"]) == 1
+        assert f"BAD clusterings/{'aa' * 16}" in capsys.readouterr().err
 
 
 class TestPublishTrace:

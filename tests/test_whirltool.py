@@ -1,5 +1,8 @@
 """Unit tests for WhirlTool (profiler, analyzer, runtime)."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -10,9 +13,15 @@ from repro.core.whirltool import (
     WhirlToolProfiler,
     pool_distance,
     train_whirltool,
+    trained_clustering,
 )
 from repro.curves import MissCurve
+from repro.sim.profiling import clustering_fingerprint
+from repro.store import ArtifactStore
+from repro.store.artifacts import ENV_STORE
+from repro.store.clusterings import encode_clustering
 from repro.workloads import build_workload
+from repro.workloads.trace import Trace, Workload
 
 CHUNK = 64 * 1024
 
@@ -149,6 +158,167 @@ class TestEndToEnd:
         mapping, specs = cls.classify(other)
         assert set(mapping.values()) == {0}
 
-    def test_invalid_pool_count(self):
+    def test_invalid_pool_count(self, store, trainings):
         with pytest.raises(ValueError):
             train_whirltool("MIS", n_pools=0)
+        # Rejected before any work: nothing profiled, nothing published.
+        assert trainings == []
+        assert list(store.artifacts()) == []
+
+
+@pytest.fixture()
+def store(tmp_path, monkeypatch):
+    monkeypatch.setenv(ENV_STORE, str(tmp_path / "store"))
+    return ArtifactStore()
+
+
+@pytest.fixture()
+def trainings(monkeypatch):
+    """The workload names WhirlToolProfiler.profile ran on."""
+    seen = []
+    original = WhirlToolProfiler.profile
+
+    def profile(self, workload):
+        seen.append(workload.name)
+        return original(self, workload)
+
+    monkeypatch.setattr(WhirlToolProfiler, "profile", profile)
+    return seen
+
+
+#: A small grid so the synthetic trainings below take milliseconds.
+SMALL = dict(chunk_bytes=4096, n_chunks=32, n_intervals=2, sample_shift=0)
+
+
+def tiny_workload(seed=0, n=3000, **changes):
+    rng = np.random.default_rng(seed)
+    fields = dict(
+        lines=rng.integers(0, 600, n),
+        regions=(rng.integers(0, 4, n) * 977 + 2**31 - 4000).astype(np.int32),
+        instructions=n * 12.0,
+        line_bytes=64,
+    )
+    fields.update(changes)
+    names = {int(r): f"r{int(r)}" for r in np.unique(fields["regions"])}
+    return Workload(name="tiny", trace=Trace(region_names=names, **fields))
+
+
+def assert_same_clustering(got, want):
+    assert got.callpoints == want.callpoints
+    assert got.names == want.names
+    assert len(got.merges) == len(want.merges)
+    for (ga, gb, gd), (wa, wb, wd) in zip(got.merges, want.merges):
+        assert (ga, gb) == (wa, wb)
+        assert struct.pack("<d", gd) == struct.pack("<d", wd)
+    for k in range(1, 6):
+        assert got.assignments(k) == want.assignments(k)
+    assert got.dendrogram_text() == want.dendrogram_text()
+
+
+class TestTrainedClustering:
+    """One training per (trace, profiler grid), kept in the store."""
+
+    @pytest.mark.parametrize("app", ["MIS", "bzip2", "mcf", "omnet"])
+    def test_store_served_equals_fresh_training(self, app, store, trainings):
+        cold = trained_clustering(build_workload(app, scale="train", seed=0))
+        assert trainings == [app]
+        # A fresh build of the same input (new trace object) is a hit.
+        workload = build_workload(app, scale="train", seed=0)
+        served = trained_clustering(workload)
+        assert trainings == [app]
+        fresh = WhirlToolAnalyzer().cluster(WhirlToolProfiler().profile(workload))
+        assert_same_clustering(cold, fresh)
+        assert_same_clustering(served, fresh)
+        (artifact,) = store.artifacts("clusterings")
+        meta = store.provenance("clusterings", artifact[1])
+        assert meta["inputs"]["workload"] == app
+        assert meta["inputs"]["sample_shift"] == 3
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda path: path.write_bytes(path.read_bytes()[:200]),
+            lambda path: path.write_bytes(b"\x00" * 64),
+            "wrong-version",
+        ],
+        ids=["truncated", "corrupt", "wrong-version"],
+    )
+    def test_unusable_payload_retrains(self, damage, store, trainings):
+        profiler = WhirlToolProfiler(**SMALL)
+        want = trained_clustering(tiny_workload(), profiler)
+        (__, key, path), = store.artifacts("clusterings")
+        if damage == "wrong-version":
+            payload = encode_clustering(want)
+            payload["format_version"] = np.array(99)
+            with open(path, "wb") as fh:
+                np.savez(fh, **payload)
+        else:
+            damage(path)
+        got = trained_clustering(tiny_workload(), profiler)
+        assert trainings == ["tiny", "tiny"]
+        assert_same_clustering(got, want)
+        # The retrained tree was republished and serves the next call.
+        assert store.verify()["bad"] == {}
+        trained_clustering(tiny_workload(), profiler)
+        assert trainings == ["tiny", "tiny"]
+
+    def test_failing_store_reads_retrain(self, store, trainings, monkeypatch):
+        from repro.devtools import faults
+
+        profiler = WhirlToolProfiler(**SMALL)
+        want = trained_clustering(tiny_workload(), profiler)
+        plan = {"rules": [{"site": "store-read", "mode": "raise", "count": 99}]}
+        monkeypatch.setenv(faults.ENV_VAR, json.dumps(plan))
+        faults.reset()
+        try:
+            got = trained_clustering(tiny_workload(), profiler)
+        finally:
+            monkeypatch.delenv(faults.ENV_VAR)
+            faults.reset()
+        assert trainings == ["tiny", "tiny"]
+        assert_same_clustering(got, want)
+
+    def test_key_follows_every_training_input(self):
+        base = tiny_workload()
+        grid = dict(SMALL)
+
+        def key(workload, **change):
+            return clustering_fingerprint(workload.trace, **{**grid, **change})
+
+        want = key(base)
+        assert key(tiny_workload()) == want  # deterministic, per content
+        changed = {
+            key(base, chunk_bytes=8192),
+            key(base, n_chunks=33),
+            key(base, n_intervals=3),
+            key(base, sample_shift=1),
+            key(tiny_workload(instructions=base.trace.instructions + 1)),
+            key(tiny_workload(line_bytes=128)),
+            key(tiny_workload(n=2999)),
+        }
+        lines = base.trace.lines.copy()
+        lines[17] += 1
+        changed.add(key(tiny_workload(lines=lines)))
+        regions = base.trace.regions.copy()
+        regions[17] = regions[18] if regions[17] != regions[18] else regions[0]
+        assert not np.array_equal(regions, base.trace.regions)
+        changed.add(key(tiny_workload(regions=regions)))
+        assert want not in changed
+        assert len(changed) == 9
+        # Profile keys of the same trace share its hash state but never
+        # its keys.
+        from repro.sim.profiling import _fingerprint
+
+        assert _fingerprint(base.trace, {}, *grid.values()) != want
+
+    def test_renamed_region_is_a_hit_with_new_names(self, store, trainings):
+        profiler = WhirlToolProfiler(**SMALL)
+        first = trained_clustering(tiny_workload(), profiler)
+        renamed = tiny_workload()
+        cp = first.callpoints[0]
+        renamed.trace.region_names[cp] = "renamed"
+        got = trained_clustering(renamed, profiler)
+        assert trainings == ["tiny"]
+        assert got.names[cp] == "renamed"
+        assert got.merges == first.merges
+        assert "renamed" in got.dendrogram_text()
